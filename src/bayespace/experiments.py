@@ -84,11 +84,18 @@ class ExperimentConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         cfg = cls()
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read {path}: {err}") from None
         fields = {f.name: f for f in dataclasses.fields(cls)}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -99,7 +106,11 @@ class ExperimentConfig:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in fields:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            setattr(cfg, key, _coerce(key, value))
+            try:
+                setattr(cfg, key, _coerce(key, value))
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {key}: cannot read {value!r} "
+                                  f"as {fields[key].type}") from None
         return cfg
 
 

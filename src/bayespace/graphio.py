@@ -51,32 +51,40 @@ def dumps_graph(graph: FactorGraph) -> str:
 
 
 def loads_graph(text: str) -> FactorGraph:
+    """Parse the text format; a malformed record raises ValueError naming its line."""
     num_vars = None
     factors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        tag = tokens[0].upper()
-        if tag == "VAR":
-            if num_vars is not None:
-                raise ValueError(f"line {lineno}: duplicate VAR record")
-            num_vars = int(tokens[1])
-        elif tag == "FACTOR":
-            kind = tokens[1]
-            if kind not in _REGISTRY:
-                raise ValueError(f"line {lineno}: unknown factor type {kind!r}")
-            arity, nparams, builder = _REGISTRY[kind]
-            fields = tokens[2:]
-            if len(fields) != arity + nparams:
-                raise ValueError(f"line {lineno}: {kind} expects {arity} indices and "
-                                 f"{nparams} params, got {len(fields)} fields")
-            idx = [int(t) for t in fields[:arity]]
-            params = [float(t) for t in fields[arity:]]
-            factors.append(builder(idx, params))
-        else:
-            raise ValueError(f"line {lineno}: unknown record {tokens[0]!r}")
+        try:
+            tokens = line.split()
+            tag = tokens[0].upper()
+            if tag == "VAR":
+                if num_vars is not None:
+                    raise ValueError("duplicate VAR record")
+                if len(tokens) != 2:
+                    raise ValueError(f"VAR expects 1 field, got {len(tokens) - 1}")
+                num_vars = int(tokens[1])
+                if num_vars < 0:
+                    raise ValueError(f"VAR must be nonnegative, got {num_vars}")
+            elif tag == "FACTOR":
+                kind = tokens[1] if len(tokens) > 1 else ""
+                if kind not in _REGISTRY:
+                    raise ValueError(f"unknown factor type {kind!r}")
+                arity, nparams, builder = _REGISTRY[kind]
+                fields = tokens[2:]
+                if len(fields) != arity + nparams:
+                    raise ValueError(f"{kind} expects {arity} indices and "
+                                     f"{nparams} params, got {len(fields)} fields")
+                idx = [int(t) for t in fields[:arity]]
+                params = [float(t) for t in fields[arity:]]
+                factors.append(builder(idx, params))
+            else:
+                raise ValueError(f"unknown record {tokens[0]!r}")
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     if num_vars is None:
         raise ValueError("missing VAR record")
     return FactorGraph(num_vars=num_vars, factors=tuple(factors))

@@ -2,17 +2,21 @@
 
 The joint negative-log target splits over factors with small variable
 support, so every expectation the Gaussian update needs reduces to the
-factor's own marginal: per-factor low-dimensional quadrature, scatter-add
+factor's own marginal: low-dimensional quadrature per factor, scatter-add
 assembly, and marginal-covariance extraction that touches only the blocks
-present in the information matrix's fill pattern.  The dense route (full
-inversion, dense solve) computes the exact same iterates and serves as the
-oracle for the sparse machinery.
+present in the information matrix's fill pattern.  The solvers evaluate
+the built-in factor kinds in batches, one vectorized call per kind over
+all of its factors; other factors take the per-factor path
+(:func:`factor_expectations`, :func:`assemble`), which is also the oracle
+for the batches.  The dense route (full inversion, dense solve) computes
+the exact same iterates and serves as the oracle for the sparse machinery.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +28,9 @@ from .quadrature import QuadratureSpec, gh_spec, tensor_rule
 from .variational import IterationTrace
 
 _MAX_FACTOR_DIM = 4
+# Quadrature nodes evaluated at once in a batch; bounds the working set
+# (an (F, m, k, k) Hessian stack) on large graphs.
+_CHUNK_NODES = 16_384
 
 
 @dataclass(frozen=True)
@@ -32,7 +39,9 @@ class Factor:
 
     ``phi`` maps local states (m, k) -> (m,); ``grad``/``hess`` are the
     matching local derivatives (finite differences substitute when absent).
-    ``kind``/``params`` carry the serialization identity.
+    ``kind``/``params`` carry the serialization identity.  The solvers
+    evaluate a built-in kind (prior, odom, range, stereo) from ``kind`` and
+    ``params`` alone, as the builders below construct it.
     """
 
     indices: Tuple[int, ...]
@@ -73,6 +82,10 @@ class FactorGraph:
             missing = np.flatnonzero(~covered)
             raise ValueError(f"variables {missing.tolist()} appear in no factor; "
                              "the information matrix would be singular")
+
+    @functools.cached_property
+    def _plan(self) -> "_Plan":
+        return _Plan.build(self)
 
     def joint_element(self) -> BayesElement:
         """The full-dimensional sum of the factors (dense-route oracle)."""
@@ -116,12 +129,11 @@ def _local_hess(f: Factor, x_local: np.ndarray) -> np.ndarray:
 
 
 def fill_pattern(graph: FactorGraph) -> np.ndarray:
-    """Symbolic fill of the information matrix: union of factor index pairs."""
-    mask = np.zeros((graph.num_vars, graph.num_vars), dtype=bool)
-    np.fill_diagonal(mask, True)
-    for f in graph.factors:
-        mask[np.ix_(f.indices, f.indices)] = True
-    return mask
+    """Symbolic fill of the information matrix: union of factor index pairs.
+
+    Built once per graph and shared by every caller, so it is read-only.
+    """
+    return graph._plan.pattern
 
 
 @dataclass(frozen=True)
@@ -167,24 +179,35 @@ class GaussianState:
 # Per-factor expectations and assembly
 # ---------------------------------------------------------------------------
 
-def _chol_small(cov: np.ndarray) -> np.ndarray:
-    """Cholesky with fast paths for the 1x1/2x2 blocks factor marginals use."""
-    k = cov.shape[0]
+def _cholesky_stack(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of (k, k) marginal blocks.
+
+    The 1x1 and 2x2 blocks factor marginals use are factored in closed form;
+    raises :class:`NonSPD` when any block is not positive-definite.
+    """
+    k = cov.shape[-1]
+    if k > 2:
+        try:
+            return np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            for block in cov:
+                cholesky_or_raise(block, "marginal covariance")
+            raise
+    a = cov[:, 0, 0]
+    if (a <= 0).any():
+        raise NonSPD("marginal covariance is not positive", minor=1)
+    ra = np.sqrt(a)
     if k == 1:
-        if cov[0, 0] <= 0:
-            raise NonSPD("marginal covariance is not positive", minor=1)
-        return np.sqrt(cov)
-    if k == 2:
-        a = cov[0, 0]
-        if a <= 0:
-            raise NonSPD("marginal covariance is not positive", minor=1)
-        ra = np.sqrt(a)
-        b = cov[1, 0] / ra
-        c2 = cov[1, 1] - b * b
-        if c2 <= 0:
-            raise NonSPD("marginal covariance is not positive", minor=2)
-        return np.array([[ra, 0.0], [b, np.sqrt(c2)]])
-    return cholesky_or_raise(cov, "marginal covariance")
+        return ra[:, None, None]
+    b = cov[:, 1, 0] / ra
+    c2 = cov[:, 1, 1] - b * b
+    if (c2 <= 0).any():
+        raise NonSPD("marginal covariance is not positive", minor=2)
+    low = np.zeros_like(cov)
+    low[:, 0, 0] = ra
+    low[:, 1, 0] = b
+    low[:, 1, 1] = np.sqrt(c2)
+    return low
 
 
 def factor_expectations(factor: Factor, marginal: Tuple[np.ndarray, np.ndarray],
@@ -200,7 +223,8 @@ def factor_expectations(factor: Factor, marginal: Tuple[np.ndarray, np.ndarray],
     if k > _MAX_FACTOR_DIM:
         raise ValueError(f"factor support {k} exceeds the quadrature cap {_MAX_FACTOR_DIM}")
     xi, w = tensor_rule(spec.nodes_per_dim, k)
-    x = np.asarray(mean_k, dtype=float) + xi @ _chol_small(np.atleast_2d(cov_k)).T
+    low = _cholesky_stack(np.atleast_2d(np.asarray(cov_k, dtype=float))[None])[0]
+    x = np.asarray(mean_k, dtype=float) + xi @ low.T
     gv = _local_grad(factor, x)
     hv = _local_hess(factor, x)
     if not (np.isfinite(gv).all() and np.isfinite(hv).all()):
@@ -227,6 +251,121 @@ def assemble(graph: FactorGraph, expectations: Sequence[Tuple[np.ndarray, np.nda
         g[idx] += gk
         h[np.ix_(idx, idx)] += hk
     return g, h
+
+
+# ---------------------------------------------------------------------------
+# Batched expectations: one evaluation per factor kind
+# ---------------------------------------------------------------------------
+
+class _Block(NamedTuple):
+    """Factors of one kind and arity, stacked in graph order.
+
+    ``kind`` is None for factors without a batched kernel; they take the
+    per-factor path.  ``idx`` is (F, k); ``params`` is (F, p) for a kernel.
+    """
+
+    kind: Optional["_Kind"]
+    factors: Tuple[Factor, ...]
+    idx: np.ndarray
+    params: Optional[np.ndarray]
+
+    def expectations(self, mean: np.ndarray, cov: np.ndarray, spec: QuadratureSpec,
+                     with_value: bool):
+        """(F, k) E[grad], (F, k, k) E[hess] and (F,) E[phi] (None unless
+        ``with_value``), from (F, k) means and (F, k, k) covariance blocks."""
+        if self.kind is None:
+            outs = [factor_expectations(f, (mu, c), spec, with_value)
+                    for f, mu, c in zip(self.factors, mean, cov)]
+            values = np.array([o[2] for o in outs]) if with_value else None
+            return (np.array([o[0] for o in outs]), np.array([o[1] for o in outs]), values)
+        kind = self.kind
+        xi, w = tensor_rule(spec.nodes_per_dim, kind.arity)
+        low_t = _cholesky_stack(cov).transpose(0, 2, 1)
+        g = np.empty_like(mean)
+        h = np.empty_like(cov)
+        values = np.empty(len(self.factors)) if with_value else None
+        step = max(1, _CHUNK_NODES // xi.shape[0])
+        for start in range(0, len(self.factors), step):
+            rows = slice(start, start + step)
+            x = mean[rows, None, :] + xi @ low_t[rows]
+            params = self.params[rows].T[..., None]  # p columns of shape (F, 1)
+            gv = kind.grad(x, *params)
+            hv = kind.hess(x, *params)
+            bad = ~(np.isfinite(gv).all(axis=(1, 2)) & np.isfinite(hv).all(axis=(1, 2, 3)))
+            if bad.any():
+                f = self.factors[start + int(np.argmax(bad))]
+                raise EvaluationFailure(f"factor {f.kind}{f.indices} derivative "
+                                        "not finite at a quadrature node")
+            # The same reductions per factor as factor_expectations, so the
+            # batch sums in the same order; a matmul over the flattened
+            # Hessians would reorder the sum and change the last bits.
+            g[rows] = w @ gv
+            hk = np.einsum("i,fijk->fjk", w, hv)
+            h[rows] = 0.5 * (hk + hk.transpose(0, 2, 1))
+            if with_value:
+                values[rows] = (w @ kind.phi(x, *params)[..., None])[..., 0]
+        return g, h, values
+
+
+class _Plan(NamedTuple):
+    """Per-graph constants of the batched evaluation, built once per graph.
+
+    ``g_at``/``h_at`` are the flat positions in g and in the raveled
+    (n, n) information that the blocks' stacked outputs scatter to.
+    """
+
+    num_vars: int
+    blocks: Tuple[_Block, ...]
+    g_at: np.ndarray
+    h_at: np.ndarray
+    pattern: np.ndarray
+
+    @classmethod
+    def build(cls, graph: FactorGraph) -> "_Plan":
+        n = graph.num_vars
+        groups: Dict[Tuple[Optional[str], int], List[Factor]] = {}
+        for f in graph.factors:
+            kind = _KINDS.get(f.kind)
+            batched = (kind is not None and f.arity == kind.arity
+                       and len(f.params) == kind.nparams)
+            groups.setdefault((f.kind if batched else None, f.arity), []).append(f)
+        blocks = tuple(
+            _Block(kind=_KINDS.get(name), factors=tuple(fs),
+                   idx=np.array([f.indices for f in fs], dtype=np.intp),
+                   params=np.array([f.params for f in fs]) if name else None)
+            for (name, _), fs in groups.items())
+        empty = [np.zeros(0, dtype=np.intp)]
+        g_at = np.concatenate(empty + [b.idx.ravel() for b in blocks])
+        h_at = np.concatenate(empty + [(b.idx[:, :, None] * n + b.idx[:, None, :]).ravel()
+                                       for b in blocks])
+        mask = np.zeros(n * n, dtype=bool)
+        mask[h_at] = True
+        mask[::n + 1] = True
+        pattern = mask.reshape(n, n)
+        pattern.flags.writeable = False
+        return cls(n, blocks, g_at, h_at, pattern)
+
+    def expectations(self, mean: np.ndarray, sigma: np.ndarray, spec: QuadratureSpec,
+                     with_value: bool) -> Tuple[np.ndarray, np.ndarray, Optional[float]]:
+        """Joint E[grad], E[hess] and (with ``with_value``) the summed E[phi].
+
+        ``sigma`` need only hold the covariance entries inside the fill.
+        Each entry accumulates its factors' terms in block order, which is
+        graph order whenever each kind's factors are contiguous in the graph.
+        """
+        n = self.num_vars
+        gs, hs, values = [], [], []
+        for b in self.blocks:
+            g, h, v = b.expectations(mean[b.idx], sigma[b.idx[:, :, None], b.idx[:, None, :]],
+                                     spec, with_value)
+            gs.append(g.ravel())
+            hs.append(h.ravel())
+            values.append(v)
+        g = np.bincount(self.g_at, weights=np.concatenate(gs), minlength=n)
+        h = np.bincount(self.h_at, weights=np.concatenate(hs), minlength=n * n).reshape(n, n)
+        # add.accumulate sums left to right, like adding the terms one at a time
+        loss = float(np.add.accumulate(np.concatenate(values))[-1]) if with_value else None
+        return g, h, loss
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +418,26 @@ def _tridiag_selected_inverse(delta: np.ndarray, c: np.ndarray):
     return s_diag, s_off
 
 
+def _marginal_covariance(state: GaussianState, band: bool) -> np.ndarray:
+    """The covariance entries factor marginals read.
+
+    With ``band`` (a tridiagonal pattern) only the band is computed, by the
+    two-sweep selected inverse, and every other entry is NaN; otherwise the
+    full dense inverse, which is fine at desk scale.
+    """
+    if not band:
+        return state.covariance()
+    delta, c = _tridiag_factorize(np.diag(state.info).copy(), np.diag(state.info, 1).copy())
+    s_diag, s_off = _tridiag_selected_inverse(delta, c)
+    n = state.dim
+    sigma = np.full((n, n), np.nan)
+    i = np.arange(n)
+    sigma[i, i] = s_diag
+    sigma[i[:-1], i[1:]] = s_off
+    sigma[i[1:], i[:-1]] = s_off
+    return sigma
+
+
 def marginals_for_factors(state: GaussianState, graph: FactorGraph,
                           sparse: bool = True) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Mean and covariance block of each factor's variables.
@@ -287,26 +446,15 @@ def marginals_for_factors(state: GaussianState, graph: FactorGraph,
     inverse, touching only fill-pattern blocks; anything else falls back to
     full inversion, which is fine at desk scale.
     """
-    if sparse and _is_tridiagonal(state.pattern):
-        diag = np.diag(state.info).copy()
-        off = np.diag(state.info, 1).copy()
-        delta, c = _tridiag_factorize(diag, off)
-        s_diag, s_off = _tridiag_selected_inverse(delta, c)
-        out = []
-        for f in graph.factors:
-            idx = f.indices
-            if len(idx) == 1:
-                cov = np.array([[s_diag[idx[0]]]])
-            else:
-                i, j = idx
-                if j != i + 1:
-                    raise ValueError("non-adjacent factor on a tridiagonal pattern")
-                cov = np.array([[s_diag[i], s_off[i]], [s_off[i], s_diag[j]]])
-            out.append((state.mean[list(idx)], cov))
-        return out
-    sigma = state.covariance()
-    return [(state.mean[list(f.indices)], sigma[np.ix_(f.indices, f.indices)])
-            for f in graph.factors]
+    band = sparse and _is_tridiagonal(state.pattern)
+    sigma = _marginal_covariance(state, band)
+    out = []
+    for f in graph.factors:
+        cov = sigma[np.ix_(f.indices, f.indices)]
+        if band and np.isnan(cov).any():
+            raise ValueError("non-adjacent factor on a tridiagonal pattern")
+        out.append((state.mean[list(f.indices)], cov))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +485,19 @@ def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
     trace = IterationTrace()
     if opts.damping < 1.0:
         trace.notes.append(f"damping={opts.damping}")
-    pattern = fill_pattern(graph)
+    plan = graph._plan
+    pattern = plan.pattern
     if (np.abs(init.info[~pattern]) > 0).any():
         raise ValueError("initial information has entries outside the graph fill")
     state = GaussianState(init.mean, init.info, pattern)
-    tridiag = _is_tridiagonal(pattern)
+    tridiag = sparse and _is_tridiagonal(pattern)
 
     for _ in range(opts.max_iters):
-        marginals = marginals_for_factors(state, graph, sparse=sparse)
-        loss = 0.0
-        expectations = []
-        for f, marg in zip(graph.factors, marginals):
-            if opts.record_loss:
-                gk, hk, vk = factor_expectations(f, marg, opts.quad, with_value=True)
-                loss += vk
-            else:
-                gk, hk = factor_expectations(f, marg, opts.quad)
-            expectations.append((gk, hk))
-        g, h = assemble(graph, expectations)
-        if sparse:
-            h = np.where(pattern, h, 0.0)  # enforce the symbolic fill
+        sigma = _marginal_covariance(state, tridiag)
+        # the scatter writes only inside the fill, so h keeps the symbolic pattern
+        g, h, loss = plan.expectations(state.mean, sigma, opts.quad, opts.record_loss)
         try:
-            if sparse and tridiag:
+            if tridiag:
                 delta, c = _tridiag_factorize(np.diag(h).copy(), np.diag(h, 1).copy())
                 dmu = _tridiag_solve(delta, c, -g)
             else:
@@ -411,41 +550,112 @@ def gvi_step_dense(p: BayesElement, state: GaussianState,
 
 
 # ---------------------------------------------------------------------------
-# Factor builders
+# Factor kinds and builders
 # ---------------------------------------------------------------------------
+
+class _Kind(NamedTuple):
+    """A built-in factor kind: phi(x), grad = d1(x) jac, hess = d2(x) jac jac^T.
+
+    ``phi``, ``d1`` and ``d2`` map nodes (..., k) and parameters that
+    broadcast against (...) onto (...): one factor's closures pass its
+    parameters as floats, a batch of F factors passes (F, 1) columns with
+    (F, m, k) nodes.  Each formula is written once, here.
+    """
+
+    name: str
+    arity: int
+    nparams: int
+    var_at: int  # position of the noise variance among the params
+    jac: np.ndarray
+    phi: Callable[..., np.ndarray]
+    d1: Callable[..., np.ndarray]
+    d2: Callable[..., np.ndarray]
+
+    def grad(self, x: np.ndarray, *params) -> np.ndarray:
+        return self.d1(x, *params)[..., None] * self.jac
+
+    def hess(self, x: np.ndarray, *params) -> np.ndarray:
+        return self.d2(x, *params)[..., None, None] * np.outer(self.jac, self.jac)
+
+    def factor(self, indices: Tuple[int, ...], params: Sequence[float]) -> Factor:
+        """One factor of this kind; raises ValueError on invalid parameters."""
+        params = tuple(float(p) for p in params)
+        if not np.isfinite(params).all():
+            raise ValueError(f"{self.name} factor parameters must be finite, got {params}")
+        if params[self.var_at] <= 0:
+            raise ValueError(f"{self.name} factor variance must be positive, "
+                             f"got {params[self.var_at]}")
+        return Factor(indices=indices,
+                      phi=lambda x: self.phi(x, *params),
+                      grad=lambda x: self.grad(x, *params),
+                      hess=lambda x: self.hess(x, *params),
+                      kind=self.name, params=params)
+
+
+def _constant(x: np.ndarray, value) -> np.ndarray:
+    return np.broadcast_to(value, x.shape[:-1])
+
+
+def _range_parts(x, z, offset):
+    d = x[..., 1] - x[..., 0]
+    r = np.sqrt(d * d + offset * offset)
+    return d, r, z - r
+
+
+def _range_phi(x, z, var, offset):
+    _, _, e = _range_parts(x, z, offset)
+    return 0.5 * e * e / var
+
+
+def _range_d1(x, z, var, offset):
+    d, r, e = _range_parts(x, z, offset)
+    return -e * (d / r) / var
+
+
+def _range_d2(x, z, var, offset):
+    d, r, e = _range_parts(x, z, offset)
+    return ((d / r) ** 2 - e * (offset * offset) / r**3) / var
+
+
+def _stereo_d1(x, z, f, b, var):
+    xv, fb = x[..., 0], f * b
+    return (z - fb / xv) * (fb / xv**2) / var
+
+
+def _stereo_d2(x, z, f, b, var):
+    xv, fb = x[..., 0], f * b
+    return ((fb / xv**2) ** 2 + (z - fb / xv) * (-2.0 * fb / xv**3)) / var
+
+
+_KINDS: Dict[str, _Kind] = {kind.name: kind for kind in (
+    _Kind(
+        name="prior", arity=1, nparams=2, var_at=1, jac=np.array([1.0]),
+        phi=lambda x, mean, var: 0.5 * (x[..., 0] - mean) ** 2 / var,
+        d1=lambda x, mean, var: (x[..., 0] - mean) / var,
+        d2=lambda x, mean, var: _constant(x, 1.0 / var)),
+    _Kind(
+        name="odom", arity=2, nparams=2, var_at=1, jac=np.array([-1.0, 1.0]),
+        phi=lambda x, u, var: 0.5 * (x[..., 1] - x[..., 0] - u) ** 2 / var,
+        d1=lambda x, u, var: (x[..., 1] - x[..., 0] - u) / var,
+        d2=lambda x, u, var: _constant(x, 1.0 / var)),
+    _Kind(
+        name="range", arity=2, nparams=3, var_at=1, jac=np.array([-1.0, 1.0]),
+        phi=_range_phi, d1=_range_d1, d2=_range_d2),
+    _Kind(
+        name="stereo", arity=1, nparams=4, var_at=3, jac=np.array([1.0]),
+        phi=lambda x, z, f, b, var: 0.5 * (z - f * b / x[..., 0]) ** 2 / var,
+        d1=_stereo_d1, d2=_stereo_d2),
+)}
+
 
 def prior_factor(i: int, mean: float, var: float) -> Factor:
     """0.5 (x_i - mean)^2 / var."""
-    mean, var = float(mean), float(var)
-
-    def phi(x):
-        return 0.5 * (x[:, 0] - mean) ** 2 / var
-
-    return Factor(
-        indices=(i,), phi=phi,
-        grad=lambda x: (x - mean) / var,
-        hess=lambda x: np.full((x.shape[0], 1, 1), 1.0 / var),
-        kind="prior", params=(mean, var))
+    return _KINDS["prior"].factor((i,), (mean, var))
 
 
 def odom_factor(i: int, j: int, u: float, var: float) -> Factor:
     """0.5 (x_j - x_i - u)^2 / var for consecutive poses."""
-    u, var = float(u), float(var)
-    jac = np.array([-1.0, 1.0])
-    h_const = np.outer(jac, jac) / var
-
-    def phi(x):
-        return 0.5 * (x[:, 1] - x[:, 0] - u) ** 2 / var
-
-    def grad(x):
-        e = (x[:, 1] - x[:, 0] - u) / var
-        return e[:, None] * jac
-
-    def hess(x):
-        return np.broadcast_to(h_const, (x.shape[0], 2, 2)).copy()
-
-    return Factor(indices=(i, j), phi=phi, grad=grad, hess=hess,
-                  kind="odom", params=(u, var))
+    return _KINDS["odom"].factor((i, j), (u, var))
 
 
 def range_factor(i: int, j: int, z: float, var: float, offset: float) -> Factor:
@@ -454,49 +664,9 @@ def range_factor(i: int, j: int, z: float, var: float, offset: float) -> Factor:
     A range-to-beacon measurement with a fixed sensor offset; the offset
     keeps the model smooth and genuinely nonlinear at short range.
     """
-    z, var, offset = float(z), float(var), float(offset)
-    jac = np.array([-1.0, 1.0])
-    outer = np.outer(jac, jac)
-
-    def parts(x):
-        d = x[:, 1] - x[:, 0]
-        r = np.sqrt(d * d + offset * offset)
-        return d, r, z - r
-
-    def phi(x):
-        _, _, e = parts(x)
-        return 0.5 * e * e / var
-
-    def grad(x):
-        d, r, e = parts(x)
-        dphi_dd = -e * (d / r) / var
-        return dphi_dd[:, None] * jac
-
-    def hess(x):
-        d, r, e = parts(x)
-        d2 = ((d / r) ** 2 - e * (offset * offset) / r**3) / var
-        return d2[:, None, None] * outer
-
-    return Factor(indices=(i, j), phi=phi, grad=grad, hess=hess,
-                  kind="range", params=(z, var, offset))
+    return _KINDS["range"].factor((i, j), (z, var, offset))
 
 
 def stereo_factor(i: int, z: float, f: float, b: float, var: float) -> Factor:
     """0.5 (z - f b / x_i)^2 / var, the inverse-distance camera model."""
-    z, f, b, var = float(z), float(f), float(b), float(var)
-    fb = f * b
-
-    def phi(x):
-        return 0.5 * (z - fb / x[:, 0]) ** 2 / var
-
-    def grad(x):
-        xv = x[:, 0]
-        return ((z - fb / xv) * (fb / xv**2) / var)[:, None]
-
-    def hess(x):
-        xv = x[:, 0]
-        val = ((fb / xv**2) ** 2 + (z - fb / xv) * (-2.0 * fb / xv**3)) / var
-        return val[:, None, None]
-
-    return Factor(indices=(i,), phi=phi, grad=grad, hess=hess,
-                  kind="stereo", params=(z, f, b, var))
+    return _KINDS["stereo"].factor((i,), (z, f, b, var))

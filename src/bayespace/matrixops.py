@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,12 @@ class DuplicationOps:
     sqrt_half_dtd: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
 def build_duplication(n: int) -> DuplicationOps:
-    """Precompute the duplication operators for dimension ``n`` (1..64)."""
+    """Precompute the duplication operators for dimension ``n`` (1..64).
+
+    Built once per dimension and shared, so the arrays are read-only.
+    """
     if not 1 <= n <= 64:
         raise ValueError(f"dimension must be in [1, 64], got {n}")
     d = duplication_matrix(n)
@@ -75,4 +80,6 @@ def build_duplication(n: int) -> DuplicationOps:
     # taken by eigendecomposition rather than assuming that structure.
     w, v = np.linalg.eigh(0.5 * dtd)
     sqrt_half = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+    for a in (d, d_dagger, sqrt_half):
+        a.flags.writeable = False
     return DuplicationOps(n=n, d=d, d_dagger=d_dagger, sqrt_half_dtd=sqrt_half)

@@ -229,3 +229,27 @@ class TestCLI:
         assert code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["config"]["n_poses"] == 6
+
+    @pytest.mark.parametrize("line", ["nodes = abc", "trials = 2.5", "z = zero"])
+    def test_unreadable_config_value_exit_code(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"seed = 4\n{line}\n")
+        code = main(["gvi-demo", "--out", str(tmp_path / "out"), "--config", str(cfg_file)])
+        assert code == 2
+        assert f"{cfg_file}:2" in capsys.readouterr().err
+
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        code = main(["stereo-project", "--out", str(tmp_path),
+                     "--config", str(tmp_path / "missing.cfg")])
+        assert code == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_z_exit_code(self, tmp_path, capsys, value):
+        code = main(["stereo-project", "--out", str(tmp_path), f"--z={value}"])
+        assert code == 2
+        assert "z must be finite" in capsys.readouterr().err
+
+    def test_non_finite_config_field_rejected(self):
+        with pytest.raises(ConfigError, match="mu_p"):
+            ExperimentConfig(mu_p=float("nan")).validate()

@@ -56,6 +56,25 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             loads_graph("VAR 1\nWHAT 3\n")
 
+    @pytest.mark.parametrize("record", [
+        "FACTOR prior 0 nan 1.0",      # non-finite parameter
+        "FACTOR prior 1 0 -1",         # negative variance
+        "FACTOR odom 0 1 1.0 0",       # zero variance
+        "FACTOR range 0 1 inf 0.25 2.0",
+        "FACTOR stereo 1 1.8 400 0.1 -0.09",
+        "FACTOR prior 0 abc 1.0",      # unparsable number
+        "FACTOR odom 1 1 1.0 0.5",     # indices not increasing
+        "FACTOR",                      # bare record
+    ])
+    def test_invalid_factor_names_its_line(self, record):
+        with pytest.raises(ValueError, match=r"^line 3: "):
+            loads_graph(f"VAR 2\nFACTOR prior 0 0.0 1.0\n{record}\nFACTOR prior 1 0.0 1.0\n")
+
+    @pytest.mark.parametrize("record", ["VAR", "VAR 2 3", "VAR x", "VAR -1"])
+    def test_invalid_var_names_its_line(self, record):
+        with pytest.raises(ValueError, match=r"^line 2: "):
+            loads_graph(f"# header\n{record}\nFACTOR prior 0 0.0 1.0\n")
+
     def test_custom_type_registration(self):
         def cubic(idx, params):
             a, = params

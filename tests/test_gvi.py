@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bayespace.elements import BayesElement
-from bayespace.errors import NonSPD
+from bayespace.errors import EvaluationFailure, NonSPD
+from bayespace import gvi
 from bayespace.experiments import ExperimentConfig, make_chain
 from bayespace.gaussian import expected_derivatives
 from bayespace.gvi import (Factor, FactorGraph, GaussianState, GviOptions, assemble,
@@ -75,6 +76,18 @@ class TestFactorBasics:
             from bayespace.elements import element_grad, element_hess
             assert np.allclose(f.grad(x), element_grad(elem, x), rtol=1e-5, atol=1e-6)
             assert np.allclose(f.hess(x), element_hess(elem, x), rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("build", [
+        lambda: prior_factor(0, float("nan"), 1.0),
+        lambda: prior_factor(0, 0.0, 0.0),
+        lambda: odom_factor(0, 1, 1.0, -0.5),
+        lambda: range_factor(0, 1, float("inf"), 0.25, 2.0),
+        lambda: range_factor(0, 1, 3.0, 0.25, float("nan")),
+        lambda: stereo_factor(0, 2.0, 400.0, 0.1, -0.09),
+    ])
+    def test_builders_reject_invalid_parameters(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestFactorExpectations:
@@ -373,3 +386,84 @@ class TestChainSolves:
         trace = err.value.trace
         assert trace.aborted is not None
         assert trace.iterations == 0
+
+
+def mixed_kind_graph(rng, n_vars: int = 12, n_range: int = 400) -> FactorGraph:
+    """Every built-in kind plus a custom one, interleaved, with more range
+    factors than one batch chunk holds at 10 nodes per dimension."""
+    factors = [prior_factor(0, 20.0, 4.0)]
+    for i in range(n_vars - 1):
+        factors.append(odom_factor(i, i + 1, rng.normal(0.0, 1.0), rng.uniform(0.1, 1.0)))
+        factors.append(stereo_factor(i + 1, rng.uniform(1.5, 2.5), 400.0, 0.1,
+                                     rng.uniform(0.05, 0.2)))
+        factors.append(quartic_factor(i, rng.normal(20.0, 1.0), 0.01, 0.5))
+    for _ in range(n_range):
+        i, j = sorted(rng.choice(n_vars, size=2, replace=False))
+        factors.append(range_factor(i, j, rng.uniform(1.0, 6.0), rng.uniform(0.1, 1.0),
+                                    rng.uniform(0.5, 3.0)))
+    return FactorGraph(n_vars, tuple(factors))
+
+
+class TestBatchedExpectations:
+    """The per-kind batches against the per-factor oracle."""
+
+    def test_matches_per_factor_oracle(self):
+        rng = np.random.default_rng(21)
+        graph = mixed_kind_graph(rng)
+        n = graph.num_vars
+        spec = gh_spec(10)
+        ranges = [f for f in graph.factors if f.kind == "range"]
+        assert len(ranges) * spec.nodes_per_dim ** 2 > gvi._CHUNK_NODES
+        for _ in range(3):
+            mean = rng.uniform(15.0, 25.0, n)
+            a = rng.standard_normal((n, n)) * 0.15
+            sigma = a @ a.T + np.diag(rng.uniform(0.05, 0.3, n))
+            g, h, loss = graph._plan.expectations(mean, sigma, spec, with_value=True)
+            expectations, loss_ref = [], 0.0
+            for f in graph.factors:
+                idx = list(f.indices)
+                gk, hk, vk = factor_expectations(f, (mean[idx], sigma[np.ix_(idx, idx)]),
+                                                 spec, with_value=True)
+                expectations.append((gk, hk))
+                loss_ref += vk
+            g_ref, h_ref = assemble(graph, expectations)
+            assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+            assert np.abs(h - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
+            assert loss == pytest.approx(loss_ref, rel=1e-12)
+
+    def test_fill_pattern_built_once_and_read_only(self):
+        graph = mixed_kind_graph(np.random.default_rng(22), n_vars=5, n_range=6)
+        pattern = fill_pattern(graph)
+        assert fill_pattern(graph) is pattern
+        assert not pattern.flags.writeable
+        expected = np.eye(5, dtype=bool)
+        for f in graph.factors:
+            expected[np.ix_(f.indices, f.indices)] = True
+        assert np.array_equal(pattern, expected)
+
+    def test_stereo_node_at_zero_names_the_factor(self):
+        # an odd Gauss-Hermite rule puts a node on the mean; the pole at x = 0
+        graph = FactorGraph(2, (prior_factor(0, 20.0, 1.0), prior_factor(1, 0.0, 1.0),
+                                stereo_factor(0, 2.0, 400.0, 0.1, 0.09),
+                                stereo_factor(1, 2.0, 400.0, 0.1, 0.09)))
+        init = GaussianState(np.array([20.0, 0.0]), np.eye(2), fill_pattern(graph))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationFailure, match=r"stereo\(1,\)"):
+                gvi_sparse_solve(graph, init, GviOptions(quad=gh_spec(5), record_loss=False))
+
+    @pytest.mark.parametrize("sigma, minor", [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), 2),
+        (np.array([[-1.0, 0.0], [0.0, 1.0]]), 1),
+    ])
+    def test_non_spd_block_raises(self, sigma, minor):
+        graph = FactorGraph(2, (prior_factor(0, 0.0, 1.0), odom_factor(0, 1, 1.0, 0.5)))
+        with pytest.raises(NonSPD) as err:
+            graph._plan.expectations(np.zeros(2), sigma, SPEC, with_value=False)
+        assert err.value.minor == minor
+
+    def test_non_spd_block_of_three_variable_factor(self):
+        f = Factor(indices=(0, 1, 2), phi=lambda x: np.sum(x**2, axis=1))
+        cov = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+        with pytest.raises(NonSPD) as err:
+            factor_expectations(f, (np.zeros(3), cov), gh_spec(3))
+        assert err.value.minor == 3

@@ -114,12 +114,17 @@ class ExperimentConfig:
         return cfg
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _coerce(key: str, value: str):
     kind = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}[key]
     if value.lower() in ("none", ""):
         return None
     if "bool" in str(kind):
-        return value.lower() in ("1", "true", "yes")
+        if value.lower() not in _BOOLEANS:
+            raise ValueError(f"not a boolean: {value!r}")
+        return _BOOLEANS[value.lower()]
     if "int" in str(kind):
         return int(value)
     if "float" in str(kind):

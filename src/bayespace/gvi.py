@@ -2,14 +2,16 @@
 
 The joint negative-log target splits over factors with small variable
 support, so every expectation the Gaussian update needs reduces to the
-factor's own marginal: low-dimensional quadrature per factor, scatter-add
-assembly, and marginal-covariance extraction that touches only the blocks
-present in the information matrix's fill pattern.  The solvers evaluate
-the built-in factor kinds in batches, one vectorized call per kind over
-all of its factors; other factors take the per-factor path
-(:func:`factor_expectations`, :func:`assemble`), which is also the oracle
-for the batches.  The dense route (full inversion, dense solve) computes
-the exact same iterates and serves as the oracle for the sparse machinery.
+factor's own marginal: low-dimensional quadrature per factor and
+scatter-add assembly, reading only the covariance blocks inside the
+information matrix's fill pattern.  Each iteration factors the information
+matrix once; that Cholesky factor gives the step, the covariance (a dense
+inverse, cheap at the sizes the experiments allow) and the entropy.  The
+sparse solver evaluates the built-in factor kinds in batches, one
+vectorized call per kind over all of its factors; other factors take the
+per-factor path (:func:`factor_expectations`, :func:`assemble`).  The
+dense solver runs every factor through that per-factor path and serves as
+the oracle for the batches.
 """
 
 from __future__ import annotations
@@ -136,6 +138,12 @@ def fill_pattern(graph: FactorGraph) -> np.ndarray:
     return graph._plan.pattern
 
 
+def _covariance(low: np.ndarray) -> np.ndarray:
+    """inv(L)^T inv(L), the inverse of the information matrix L L^T."""
+    inv_low = np.linalg.solve(low, np.eye(low.shape[0]))
+    return inv_low.T @ inv_low
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Joint Gaussian estimate in information form with a fixed fill pattern."""
@@ -167,9 +175,7 @@ class GaussianState:
         return self.mean.size
 
     def covariance(self) -> np.ndarray:
-        low = np.linalg.cholesky(self.info)
-        inv_low = np.linalg.solve(low, np.eye(self.dim))
-        return inv_low.T @ inv_low
+        return _covariance(np.linalg.cholesky(self.info))
 
     def to_measure(self) -> GaussianMeasure:
         return GaussianMeasure(self.mean, self.covariance())
@@ -369,92 +375,30 @@ class _Plan(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Marginal extraction
+# Marginal extraction and the per-factor oracle
 # ---------------------------------------------------------------------------
 
-def _is_tridiagonal(pattern: np.ndarray) -> bool:
-    n = pattern.shape[0]
-    off = ~(np.tri(n, k=1, dtype=bool) & np.tri(n, k=1, dtype=bool).T)
-    return not pattern[off].any()
+def _marginals(graph: FactorGraph, mean: np.ndarray,
+               sigma: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    return [(mean[list(f.indices)], sigma[np.ix_(f.indices, f.indices)])
+            for f in graph.factors]
 
 
-def _tridiag_factorize(diag: np.ndarray, off: np.ndarray):
-    """LDL^T factors of a symmetric tridiagonal matrix (raises NonSPD)."""
-    n = diag.size
-    delta = np.empty(n)
-    c = np.empty(max(n - 1, 0))
-    delta[0] = diag[0]
-    if delta[0] <= 0:
-        raise NonSPD("tridiagonal information not positive-definite", minor=1)
-    for i in range(n - 1):
-        c[i] = off[i] / delta[i]
-        delta[i + 1] = diag[i + 1] - c[i] * off[i]
-        if delta[i + 1] <= 0:
-            raise NonSPD("tridiagonal information not positive-definite", minor=i + 2)
-    return delta, c
+def marginals_for_factors(state: GaussianState,
+                          graph: FactorGraph) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Mean and covariance block of each factor's variables, read from the
+    full inverse of the information matrix."""
+    return _marginals(graph, state.mean, state.covariance())
 
 
-def _tridiag_solve(delta: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = b.size
-    y = np.empty(n)
-    y[0] = b[0]
-    for i in range(1, n):
-        y[i] = b[i] - c[i - 1] * y[i - 1]
-    x = y / delta
-    for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return x
-
-
-def _tridiag_selected_inverse(delta: np.ndarray, c: np.ndarray):
-    """Diagonal and first off-diagonal of the inverse via the two-sweep recursion."""
-    n = delta.size
-    s_diag = np.empty(n)
-    s_off = np.empty(max(n - 1, 0))
-    s_diag[-1] = 1.0 / delta[-1]
-    for i in range(n - 2, -1, -1):
-        s_off[i] = -c[i] * s_diag[i + 1]
-        s_diag[i] = 1.0 / delta[i] - c[i] * s_off[i]
-    return s_diag, s_off
-
-
-def _marginal_covariance(state: GaussianState, band: bool) -> np.ndarray:
-    """The covariance entries factor marginals read.
-
-    With ``band`` (a tridiagonal pattern) only the band is computed, by the
-    two-sweep selected inverse, and every other entry is NaN; otherwise the
-    full dense inverse, which is fine at desk scale.
-    """
-    if not band:
-        return state.covariance()
-    delta, c = _tridiag_factorize(np.diag(state.info).copy(), np.diag(state.info, 1).copy())
-    s_diag, s_off = _tridiag_selected_inverse(delta, c)
-    n = state.dim
-    sigma = np.full((n, n), np.nan)
-    i = np.arange(n)
-    sigma[i, i] = s_diag
-    sigma[i[:-1], i[1:]] = s_off
-    sigma[i[1:], i[:-1]] = s_off
-    return sigma
-
-
-def marginals_for_factors(state: GaussianState, graph: FactorGraph,
-                          sparse: bool = True) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Mean and covariance block of each factor's variables.
-
-    Chain-structured (tridiagonal) problems use the two-sweep selected
-    inverse, touching only fill-pattern blocks; anything else falls back to
-    full inversion, which is fine at desk scale.
-    """
-    band = sparse and _is_tridiagonal(state.pattern)
-    sigma = _marginal_covariance(state, band)
-    out = []
-    for f in graph.factors:
-        cov = sigma[np.ix_(f.indices, f.indices)]
-        if band and np.isnan(cov).any():
-            raise ValueError("non-adjacent factor on a tridiagonal pattern")
-        out.append((state.mean[list(f.indices)], cov))
-    return out
+def _per_factor_expectations(graph: FactorGraph, mean: np.ndarray, sigma: np.ndarray,
+                             spec: QuadratureSpec, with_value: bool):
+    """The oracle for :meth:`_Plan.expectations`: each factor's marginal,
+    :func:`factor_expectations`, then :func:`assemble`."""
+    outs = [factor_expectations(f, marginal, spec, with_value)
+            for f, marginal in zip(graph.factors, _marginals(graph, mean, sigma))]
+    g, h = assemble(graph, [out[:2] for out in outs])
+    return g, h, (sum(out[2] for out in outs) if with_value else None)
 
 
 # ---------------------------------------------------------------------------
@@ -474,47 +418,44 @@ class GviOptions:
             raise ValueError("damping must lie in (0, 1]")
 
 
-def _entropy(info: np.ndarray) -> float:
-    low = np.linalg.cholesky(info)
-    n = info.shape[0]
+def _entropy(low: np.ndarray) -> float:
+    """Entropy of the Gaussian whose information matrix is ``low @ low.T``."""
+    n = low.shape[0]
     return 0.5 * n * (1.0 + np.log(2.0 * np.pi)) - np.sum(np.log(np.diag(low)))
 
 
 def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
-              sparse: bool) -> IterationTrace:
+              expectations: Callable) -> IterationTrace:
+    """Iterate ``expectations(mean, sigma, spec, with_value) -> (g, h, loss)``
+    with one Cholesky factorization of the new information per iteration."""
     trace = IterationTrace()
     if opts.damping < 1.0:
         trace.notes.append(f"damping={opts.damping}")
-    plan = graph._plan
-    pattern = plan.pattern
-    if (np.abs(init.info[~pattern]) > 0).any():
+    if (np.abs(init.info[~graph._plan.pattern]) > 0).any():
         raise ValueError("initial information has entries outside the graph fill")
-    state = GaussianState(init.mean, init.info, pattern)
-    tridiag = sparse and _is_tridiagonal(pattern)
+    mean = init.mean
+    low = cholesky_or_raise(init.info, "information matrix")
+    sigma = _covariance(low)
 
     for _ in range(opts.max_iters):
-        sigma = _marginal_covariance(state, tridiag)
         # the scatter writes only inside the fill, so h keeps the symbolic pattern
-        g, h, loss = plan.expectations(state.mean, sigma, opts.quad, opts.record_loss)
+        g, h, loss = expectations(mean, sigma, opts.quad, opts.record_loss)
         try:
-            if tridiag:
-                delta, c = _tridiag_factorize(np.diag(h).copy(), np.diag(h, 1).copy())
-                dmu = _tridiag_solve(delta, c, -g)
-            else:
-                low = cholesky_or_raise(h, "information matrix")
-                dmu = np.linalg.solve(low.T, np.linalg.solve(low, -g))
-            if opts.record_loss:
-                trace.kl.append(loss - _entropy(state.info))
-            mean = state.mean + opts.damping * dmu
-            state = GaussianState(mean, h, pattern)
+            new_low = cholesky_or_raise(h, "information matrix")
         except NonSPD as err:
             trace.aborted = str(err)
             err.trace = trace
             raise
+        if opts.record_loss:
+            trace.kl.append(loss - _entropy(low))
+        low = new_low
+        step = opts.damping * np.linalg.solve(low.T, np.linalg.solve(low, -g))
+        mean = mean + step
+        sigma = _covariance(low)
         trace.coordinates.append(mean.copy())
-        trace.measures.append(state.to_measure())
-        trace.gaussians.append(IndefGaussian(mean_like=mean.copy(), info=h.copy(), spd=True))
-        trace.step_norm.append(float(np.linalg.norm(opts.damping * dmu)))
+        trace.measures.append(GaussianMeasure(mean, sigma))
+        trace.gaussians.append(IndefGaussian(mean_like=mean.copy(), info=h, spd=True))
+        trace.step_norm.append(float(np.linalg.norm(step)))
         trace.iterations += 1
         if trace.step_norm[-1] < opts.tol:
             trace.converged = True
@@ -524,14 +465,16 @@ def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
 
 def gvi_sparse_solve(graph: FactorGraph, init: GaussianState,
                      opts: Optional[GviOptions] = None) -> IterationTrace:
-    """Factor-decomposed Gaussian iterative projection (exactly sparse route)."""
-    return _gvi_loop(graph, init, opts or GviOptions(), sparse=True)
+    """Factor-decomposed Gaussian iterative projection (exactly sparse route):
+    expectations batched per factor kind, reading only blocks inside the fill."""
+    return _gvi_loop(graph, init, opts or GviOptions(), graph._plan.expectations)
 
 
 def gvi_dense_solve(graph: FactorGraph, init: GaussianState,
                     opts: Optional[GviOptions] = None) -> IterationTrace:
-    """Same iteration with dense marginals and solve; oracle for the sparse route."""
-    return _gvi_loop(graph, init, opts or GviOptions(), sparse=False)
+    """Same iteration with per-factor expectations; oracle for the batches."""
+    return _gvi_loop(graph, init, opts or GviOptions(),
+                     functools.partial(_per_factor_expectations, graph))
 
 
 def gvi_step_dense(p: BayesElement, state: GaussianState,

@@ -23,11 +23,7 @@ def vech_indices(n: int):
 def vech(a: np.ndarray) -> np.ndarray:
     """Stack the lower-triangular part column by column (on-and-below diagonal)."""
     a = np.asarray(a)
-    n = a.shape[0]
-    rows, cols = np.tril_indices(n)
-    # column-major over the lower triangle: sort by column then row
-    order = np.lexsort((rows, cols))
-    return a[rows[order], cols[order]]
+    return a[vech_indices(a.shape[0])]
 
 
 def unvech(v: np.ndarray) -> np.ndarray:
@@ -37,10 +33,9 @@ def unvech(v: np.ndarray) -> np.ndarray:
     if n * (n + 1) // 2 != v.size:
         raise ValueError(f"length {v.size} is not a triangular number")
     out = np.zeros((n, n))
-    rows, cols = np.tril_indices(n)
-    order = np.lexsort((rows, cols))
-    out[rows[order], cols[order]] = v
-    out[cols[order], rows[order]] = v
+    rows, cols = vech_indices(n)
+    out[rows, cols] = v
+    out[cols, rows] = v
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .elements import (BayesElement, MeasureLike, inner_product, log_partition,
                        moment_nodes, subtract)
 from .errors import MeasureInvalid, NotNormalizable, SingularGram, SingularInformation
-from .gaussian import (GaussianBasis, IndefGaussian, gaussian_basis,
+from .gaussian import (_COND_LIMIT, GaussianBasis, IndefGaussian, gaussian_basis,
                        gaussian_coordinates, gaussian_from_coordinates,
                        project_to_gaussian)
 from .hermite import HermiteBasis1D
@@ -26,9 +26,6 @@ from .measures import GaussianMeasure
 from .quadrature import GRID, QuadratureSpec, gh_spec, grid_spec
 
 Coordinates = np.ndarray
-
-_COND_LIMIT = 1e12
-_EIG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,18 +41,12 @@ def _phi_matrix(basis, points: np.ndarray) -> np.ndarray:
 
 
 def _solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with a loud eigenvalue-floored fallback."""
+    """Cholesky solve; raises :class:`SingularGram` when Cholesky rejects ``g``."""
     try:
         low = np.linalg.cholesky(g)
-        return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
     except np.linalg.LinAlgError:
-        pass
-    w, v = np.linalg.eigh(g)
-    floor = _EIG_FLOOR * w.max()
-    if np.sum(w < floor) > 1:
-        raise SingularGram(f"Gram matrix has {np.sum(w < floor)} near-null directions")
-    w = np.maximum(w, floor)
-    return v @ ((v.T @ rhs) / w)
+        raise SingularGram("Gram matrix is not positive-definite") from None
+    return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
 
 
 def gram(basis, nu: MeasureLike, spec: QuadratureSpec) -> np.ndarray:

@@ -230,7 +230,8 @@ class TestCLI:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["config"]["n_poses"] == 6
 
-    @pytest.mark.parametrize("line", ["nodes = abc", "trials = 2.5", "z = zero"])
+    @pytest.mark.parametrize("line", ["nodes = abc", "trials = 2.5", "z = zero",
+                                      "linear = maybe"])
     def test_unreadable_config_value_exit_code(self, tmp_path, capsys, line):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(f"seed = 4\n{line}\n")

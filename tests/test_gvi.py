@@ -13,7 +13,7 @@ from bayespace.gvi import (Factor, FactorGraph, GaussianState, GviOptions, assem
                            factor_expectations, fill_pattern, gvi_dense_solve,
                            gvi_sparse_solve, gvi_step_dense, marginals_for_factors,
                            odom_factor, prior_factor, range_factor, stereo_factor)
-from bayespace.measures import GaussianMeasure
+from bayespace.measures import GaussianMeasure, cholesky_or_raise
 from bayespace.quadrature import gh_spec
 from bayespace.variational import GaussianSubspace, IterateOptions, iterate, reporting_grid
 
@@ -182,11 +182,11 @@ class TestMarginals:
         off = rng.uniform(-0.8, 0.8, n - 1)
         info = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         state = GaussianState(rng.standard_normal(n), info, fill_pattern(graph))
-        sweep = marginals_for_factors(state, graph, sparse=True)
-        dense = marginals_for_factors(state, graph, sparse=False)
-        for (m1, c1), (m2, c2) in zip(sweep, dense):
-            assert np.abs(m1 - m2).max() == 0.0
-            assert np.abs(c1 - c2).max() < 1e-10
+        sigma = np.linalg.inv(info)
+        for f, (mean_k, cov_k) in zip(graph.factors, marginals_for_factors(state, graph)):
+            idx = list(f.indices)
+            assert np.abs(mean_k - state.mean[idx]).max() == 0.0
+            assert np.abs(cov_k - sigma[np.ix_(idx, idx)]).max() < 1e-10
 
     def test_non_spd_raises_with_minor(self):
         factors = (prior_factor(0, 0.0, 1.0), odom_factor(0, 1, 0, 1))
@@ -350,6 +350,40 @@ class TestChainSolves:
         assert sparse.iterations == dense.iterations
         for a, b in zip(sparse.coordinates, dense.coordinates):
             assert np.abs(a - b).max() < 1e-10
+
+    def test_trace_covariance_mean_and_loss_come_from_the_information(self):
+        # the chain-mc shape: 20 poses, 5 landmarks, nonlinear range factors
+        graph, truth, init = make_chain(ExperimentConfig(seed=11))
+        spec = gh_spec(10)
+        trace = gvi_sparse_solve(graph, init, GviOptions(quad=spec))
+        assert trace.iterations > 2
+        n = graph.num_vars
+        prev = GaussianMeasure(init.mean, np.linalg.inv(init.info))
+        prev_info = init.info
+        for k in range(trace.iterations):
+            measure = trace.measures[k]
+            sigma = np.linalg.inv(trace.gaussians[k].info)
+            assert np.abs(measure.covariance - sigma).max() <= 1e-12 * np.abs(sigma).max()
+            assert np.array_equal(measure.mean, trace.coordinates[k])
+            # loss = E[phi] under the previous estimate minus its entropy
+            _, _, expected_phi = graph._plan.expectations(prev.mean, prev.covariance, spec,
+                                                          with_value=True)
+            entropy = 0.5 * n * (1.0 + np.log(2.0 * np.pi)) - 0.5 * np.linalg.slogdet(prev_info)[1]
+            assert trace.kl[k] == pytest.approx(expected_phi - entropy, rel=1e-12)
+            prev, prev_info = measure, trace.gaussians[k].info
+
+    def test_one_information_factorization_per_iteration(self, monkeypatch):
+        graph, truth, init = make_chain(ExperimentConfig(seed=11))
+        calls = []
+
+        def counting(matrix, what="matrix"):
+            calls.append(what)
+            return cholesky_or_raise(matrix, what)
+
+        monkeypatch.setattr(gvi, "cholesky_or_raise", counting)
+        trace = gvi_sparse_solve(graph, init, GviOptions())
+        # the initial information, then each iteration's new information
+        assert calls == ["information matrix"] * (trace.iterations + 1)
 
     def test_pattern_never_grows(self):
         cfg = ExperimentConfig(seed=5)

@@ -16,7 +16,7 @@ from bayespace.variational import (BasisSet, GaussianSubspace, HermiteSubspace,
                                    IterateOptions, basis_projections, fim, gram,
                                    iterate, kernel_apply, kl, kl_gradient,
                                    kl_hessian, measure_derivative_ip, project,
-                                   reconstruct_in_basis, reporting_grid)
+                                   reconstruct_in_basis, reporting_grid, _solve_gram)
 
 SPEC = gh_spec(20)
 KL_GRID = grid_spec(4001, [(-12.0, 12.0)])
@@ -79,6 +79,10 @@ class TestProject:
         basis = BasisSet([b1, dup], std_normal_1d)
         with pytest.raises(SingularGram):
             project(b1, basis, std_normal_1d, SPEC)
+
+    def test_gram_rejected_by_cholesky_raises(self):
+        with pytest.raises(SingularGram):
+            _solve_gram(np.diag([1.0, 0.0]), np.ones(2))
 
 
 class TestKernelApply:

@@ -402,33 +402,27 @@ def make_chain(cfg: ExperimentConfig, trial: int = 0,
     land_true = np_ + 2.0 + 2.0 * np.arange(nl)
     poses_true = rng.normal(0.0, s0) + np.arange(np_, dtype=float)
 
+    # One vector draw per noise source gives the same stream, in the same
+    # order, as one scalar draw per measurement.
+    odometry = 1.0 + rng.normal(0.0, su, np_ - 1)
+    d = land_true[None, :] - poses_true[:, None]
+    ranges = (d if cfg.linear else np.sqrt(d * d + h * h)) + rng.normal(0.0, sr, (np_, nl))
+
     factors = [prior_factor(0, 0.0, s0**2)]
-    odometry = []
-    for t in range(np_ - 1):
-        u = float(1.0 + rng.normal(0.0, su))
-        odometry.append(u)
-        factors.append(odom_factor(t, t + 1, u, su**2))
-    ranges = np.zeros((np_, nl))
-    for t in range(np_):
-        for j in range(nl):
-            d = land_true[j] - poses_true[t]
+    factors += [odom_factor(t, t + 1, u, su**2) for t, u in enumerate(odometry.tolist())]
+    for t, row in enumerate(ranges.tolist()):
+        for j, z in enumerate(row):
             if cfg.linear:
-                z = float(d + rng.normal(0.0, sr))
                 factors.append(odom_factor(t, np_ + j, z, sr**2))
             else:
-                z = float(np.sqrt(d * d + h * h) + rng.normal(0.0, sr))
                 factors.append(range_factor(t, np_ + j, z, sr**2, h))
-            ranges[t, j] = z
     graph = FactorGraph(np_ + nl, tuple(factors))
     truth = np.concatenate([poses_true, land_true])
 
     mean = np.zeros(np_ + nl)
-    for t in range(np_ - 1):
-        mean[t + 1] = mean[t] + odometry[t]
-    for j in range(nl):
-        z0 = ranges[0, j]
-        mean[np_ + j] = mean[0] + (z0 if cfg.linear
-                                   else float(np.sqrt(max(z0 * z0 - h * h, h * h))))
+    mean[1:np_] = np.cumsum(odometry)
+    z0 = ranges[0]
+    mean[np_:] = z0 if cfg.linear else np.sqrt(np.maximum(z0 * z0 - h * h, h * h))
     var = np.concatenate([s0**2 + np.arange(np_) * su**2, np.full(nl, 1.0)])
     info = np.diag(1.0 / (4.0 * var))
     return graph, truth, GaussianState(mean, info, fill_pattern(graph))

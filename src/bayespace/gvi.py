@@ -17,6 +17,7 @@ the oracle for the batches.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -31,7 +32,7 @@ from .variational import IterationTrace
 
 _MAX_FACTOR_DIM = 4
 # Quadrature nodes evaluated at once in a batch; bounds the working set
-# (an (F, m, k, k) Hessian stack) on large graphs.
+# (the (F, m, k) nodes and a few (F, m) scalar arrays) on large graphs.
 _CHUNK_NODES = 16_384
 
 
@@ -54,8 +55,8 @@ class Factor:
     params: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        idx = tuple(map(int, self.indices))
+        if sorted(set(idx)) != list(idx):
             raise ValueError(f"factor indices must be strictly increasing, got {idx}")
         object.__setattr__(self, "indices", idx)
 
@@ -278,7 +279,11 @@ class _Block(NamedTuple):
     def expectations(self, mean: np.ndarray, cov: np.ndarray, spec: QuadratureSpec,
                      with_value: bool):
         """(F, k) E[grad], (F, k, k) E[hess] and (F,) E[phi] (None unless
-        ``with_value``), from (F, k) means and (F, k, k) covariance blocks."""
+        ``with_value``), from (F, k) means and (F, k, k) covariance blocks.
+
+        A built-in kind's derivatives are rank one, so the batch reduces the
+        scalars d1 and d2 over the nodes and scales by ``jac`` afterwards.
+        """
         if self.kind is None:
             outs = [factor_expectations(f, (mu, c), spec, with_value)
                     for f, mu, c in zip(self.factors, mean, cov)]
@@ -287,29 +292,26 @@ class _Block(NamedTuple):
         kind = self.kind
         xi, w = tensor_rule(spec.nodes_per_dim, kind.arity)
         low_t = _cholesky_stack(cov).transpose(0, 2, 1)
-        g = np.empty_like(mean)
-        h = np.empty_like(cov)
+        e1 = np.empty(len(self.factors))
+        e2 = np.empty(len(self.factors))
         values = np.empty(len(self.factors)) if with_value else None
         step = max(1, _CHUNK_NODES // xi.shape[0])
         for start in range(0, len(self.factors), step):
             rows = slice(start, start + step)
             x = mean[rows, None, :] + xi @ low_t[rows]
             params = self.params[rows].T[..., None]  # p columns of shape (F, 1)
-            gv = kind.grad(x, *params)
-            hv = kind.hess(x, *params)
-            bad = ~(np.isfinite(gv).all(axis=(1, 2)) & np.isfinite(hv).all(axis=(1, 2, 3)))
+            d1, d2 = kind.d12(x, *params)
+            bad = ~(np.isfinite(d1).all(axis=1) & np.isfinite(d2).all(axis=1))
             if bad.any():
                 f = self.factors[start + int(np.argmax(bad))]
                 raise EvaluationFailure(f"factor {f.kind}{f.indices} derivative "
                                         "not finite at a quadrature node")
-            # The same reductions per factor as factor_expectations, so the
-            # batch sums in the same order; a matmul over the flattened
-            # Hessians would reorder the sum and change the last bits.
-            g[rows] = w @ gv
-            hk = np.einsum("i,fijk->fjk", w, hv)
-            h[rows] = 0.5 * (hk + hk.transpose(0, 2, 1))
+            e1[rows] = d1 @ w
+            e2[rows] = d2 @ w
             if with_value:
-                values[rows] = (w @ kind.phi(x, *params)[..., None])[..., 0]
+                values[rows] = kind.phi(x, *params) @ w
+        g = e1[:, None] * kind.jac
+        h = e2[:, None, None] * np.outer(kind.jac, kind.jac)
         return g, h, values
 
 
@@ -449,9 +451,10 @@ def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
         if opts.record_loss:
             trace.kl.append(loss - _entropy(low))
         low = new_low
-        step = opts.damping * np.linalg.solve(low.T, np.linalg.solve(low, -g))
+        inv_low = np.linalg.solve(low, np.eye(mean.size))
+        step = opts.damping * (inv_low.T @ (inv_low @ -g))
         mean = mean + step
-        sigma = _covariance(low)
+        sigma = inv_low.T @ inv_low
         trace.coordinates.append(mean.copy())
         trace.measures.append(GaussianMeasure(mean, sigma))
         trace.gaussians.append(IndefGaussian(mean_like=mean.copy(), info=h, spd=True))
@@ -499,10 +502,12 @@ def gvi_step_dense(p: BayesElement, state: GaussianState,
 class _Kind(NamedTuple):
     """A built-in factor kind: phi(x), grad = d1(x) jac, hess = d2(x) jac jac^T.
 
-    ``phi``, ``d1`` and ``d2`` map nodes (..., k) and parameters that
-    broadcast against (...) onto (...): one factor's closures pass its
-    parameters as floats, a batch of F factors passes (F, 1) columns with
-    (F, m, k) nodes.  Each formula is written once, here.
+    ``phi`` and ``d12`` (which returns ``(d1, d2)``) map nodes (..., k) and
+    parameters that broadcast against (...) onto (...): one factor's
+    closures pass its parameters as floats, a batch of F factors passes
+    (F, 1) columns with (F, m, k) nodes.  Each formula is written once,
+    here.  ``jac`` has no zero entry, so d1 and d2 are finite exactly
+    where the gradient and the Hessian are.
     """
 
     name: str
@@ -511,19 +516,18 @@ class _Kind(NamedTuple):
     var_at: int  # position of the noise variance among the params
     jac: np.ndarray
     phi: Callable[..., np.ndarray]
-    d1: Callable[..., np.ndarray]
-    d2: Callable[..., np.ndarray]
+    d12: Callable[..., Tuple[np.ndarray, np.ndarray]]
 
     def grad(self, x: np.ndarray, *params) -> np.ndarray:
-        return self.d1(x, *params)[..., None] * self.jac
+        return self.d12(x, *params)[0][..., None] * self.jac
 
     def hess(self, x: np.ndarray, *params) -> np.ndarray:
-        return self.d2(x, *params)[..., None, None] * np.outer(self.jac, self.jac)
+        return self.d12(x, *params)[1][..., None, None] * np.outer(self.jac, self.jac)
 
     def factor(self, indices: Tuple[int, ...], params: Sequence[float]) -> Factor:
         """One factor of this kind; raises ValueError on invalid parameters."""
-        params = tuple(float(p) for p in params)
-        if not np.isfinite(params).all():
+        params = tuple(map(float, params))
+        if not all(map(math.isfinite, params)):
             raise ValueError(f"{self.name} factor parameters must be finite, got {params}")
         if params[self.var_at] <= 0:
             raise ValueError(f"{self.name} factor variance must be positive, "
@@ -539,6 +543,10 @@ def _constant(x: np.ndarray, value) -> np.ndarray:
     return np.broadcast_to(value, x.shape[:-1])
 
 
+def _linear_d12(residual: np.ndarray, x: np.ndarray, var) -> Tuple[np.ndarray, np.ndarray]:
+    return residual / var, _constant(x, 1.0 / var)
+
+
 def _range_parts(x, z, offset):
     d = x[..., 1] - x[..., 0]
     r = np.sqrt(d * d + offset * offset)
@@ -550,44 +558,34 @@ def _range_phi(x, z, var, offset):
     return 0.5 * e * e / var
 
 
-def _range_d1(x, z, var, offset):
+def _range_d12(x, z, var, offset):
     d, r, e = _range_parts(x, z, offset)
-    return -e * (d / r) / var
+    slope = d / r
+    return -e * slope / var, (slope**2 - e * (offset * offset) / r**3) / var
 
 
-def _range_d2(x, z, var, offset):
-    d, r, e = _range_parts(x, z, offset)
-    return ((d / r) ** 2 - e * (offset * offset) / r**3) / var
-
-
-def _stereo_d1(x, z, f, b, var):
+def _stereo_d12(x, z, f, b, var):
     xv, fb = x[..., 0], f * b
-    return (z - fb / xv) * (fb / xv**2) / var
-
-
-def _stereo_d2(x, z, f, b, var):
-    xv, fb = x[..., 0], f * b
-    return ((fb / xv**2) ** 2 + (z - fb / xv) * (-2.0 * fb / xv**3)) / var
+    e, slope = z - fb / xv, fb / xv**2
+    return e * slope / var, (slope**2 + e * (-2.0 * fb / xv**3)) / var
 
 
 _KINDS: Dict[str, _Kind] = {kind.name: kind for kind in (
     _Kind(
         name="prior", arity=1, nparams=2, var_at=1, jac=np.array([1.0]),
         phi=lambda x, mean, var: 0.5 * (x[..., 0] - mean) ** 2 / var,
-        d1=lambda x, mean, var: (x[..., 0] - mean) / var,
-        d2=lambda x, mean, var: _constant(x, 1.0 / var)),
+        d12=lambda x, mean, var: _linear_d12(x[..., 0] - mean, x, var)),
     _Kind(
         name="odom", arity=2, nparams=2, var_at=1, jac=np.array([-1.0, 1.0]),
         phi=lambda x, u, var: 0.5 * (x[..., 1] - x[..., 0] - u) ** 2 / var,
-        d1=lambda x, u, var: (x[..., 1] - x[..., 0] - u) / var,
-        d2=lambda x, u, var: _constant(x, 1.0 / var)),
+        d12=lambda x, u, var: _linear_d12(x[..., 1] - x[..., 0] - u, x, var)),
     _Kind(
         name="range", arity=2, nparams=3, var_at=1, jac=np.array([-1.0, 1.0]),
-        phi=_range_phi, d1=_range_d1, d2=_range_d2),
+        phi=_range_phi, d12=_range_d12),
     _Kind(
         name="stereo", arity=1, nparams=4, var_at=3, jac=np.array([1.0]),
         phi=lambda x, z, f, b, var: 0.5 * (z - f * b / x[..., 0]) ** 2 / var,
-        d1=_stereo_d1, d2=_stereo_d2),
+        d12=_stereo_d12),
 )}
 
 

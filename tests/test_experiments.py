@@ -9,11 +9,44 @@ import pytest
 
 from bayespace.cli import main
 from bayespace.errors import ConfigError
-from bayespace.experiments import (ExperimentConfig, run_gvi_demo, run_hermite_iterate,
-                                   run_hermite_sweep, run_stereo_iterate,
-                                   run_stereo_project)
+from bayespace.experiments import (ExperimentConfig, make_chain, run_gvi_demo,
+                                   run_hermite_iterate, run_hermite_sweep,
+                                   run_stereo_iterate, run_stereo_project)
+from bayespace.graphio import dumps_graph
 
 PINNED_DENSITIES_SHA256 = "3bbfb66963fecee1cb283f925d877ac319e16125a704f66b709ef7146ab95c17"
+
+# make_chain's seeded draws for seed 7, 4 poses and 2 landmarks.
+PINNED_CHAIN_GRAPH = """\
+VAR 6
+FACTOR prior 0 0.0 1.0
+FACTOR odom 0 1 1.029874553750847 0.010000000000000002
+FACTOR odom 1 2 0.9725862144637782 0.010000000000000002
+FACTOR odom 2 3 0.9109408161242726 0.010000000000000002
+FACTOR range 0 4 6.096052913772327 0.25 2.0
+FACTOR range 0 5 7.749194555081487 0.25 2.0
+FACTOR range 1 4 5.414094459098597 0.25 2.0
+FACTOR range 1 5 7.949034697990517 0.25 2.0
+FACTOR range 2 4 4.224932446958118 0.25 2.0
+FACTOR range 2 5 6.013150856448219 0.25 2.0
+FACTOR range 3 4 3.8494488156821496 0.25 2.0
+FACTOR range 3 5 5.562466161879908 0.25 2.0
+"""
+PINNED_LINEAR_CHAIN_GRAPH = """\
+VAR 6
+FACTOR prior 0 0.0 1.0
+FACTOR odom 0 1 1.029874553750847 0.010000000000000002
+FACTOR odom 1 2 0.9725862144637782 0.010000000000000002
+FACTOR odom 2 3 0.9109408161242726 0.010000000000000002
+FACTOR odom 0 4 5.771434454056656 0.25
+FACTOR odom 0 5 7.502946569144286 0.25
+FACTOR odom 1 4 5.028841647941237 0.25
+FACTOR odom 1 5 7.668877469419784 0.25
+FACTOR odom 2 4 3.7526665873668525 0.25
+FACTOR odom 2 5 5.688532396732547 0.25
+FACTOR odom 3 4 3.2436908717351165 0.25
+FACTOR odom 3 5 5.177213350722548 0.25
+"""
 
 
 def read_csv(path):
@@ -193,6 +226,14 @@ class TestGviDemo:
         assert summary["esgvi_iterations"] <= 2
         cols = read_csv(tmp_path / "errors.csv")
         assert np.abs(cols["esgvi_mean"] - cols["map_mean"]).max() < 1e-10
+
+    @pytest.mark.parametrize("linear, text", [
+        (False, PINNED_CHAIN_GRAPH),
+        (True, PINNED_LINEAR_CHAIN_GRAPH),
+    ])
+    def test_pinned_chain_graph(self, linear, text):
+        cfg = ExperimentConfig(seed=7, n_poses=4, n_landmarks=2, linear=linear)
+        assert dumps_graph(make_chain(cfg)[0]) == text
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

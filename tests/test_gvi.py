@@ -3,6 +3,7 @@ marginal extraction, and the sparse/dense route equivalence."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayespace.elements import BayesElement
 from bayespace.errors import EvaluationFailure, NonSPD
@@ -501,3 +502,42 @@ class TestBatchedExpectations:
         with pytest.raises(NonSPD) as err:
             factor_expectations(f, (np.zeros(3), cov), gh_spec(3))
         assert err.value.minor == 3
+
+
+@st.composite
+def mixed_kind_problems(draw):
+    """A shuffled graph of every built-in kind plus one custom factor, a
+    node count, and a mean and covariance far from the stereo pole."""
+    n = draw(st.integers(2, 6))
+    var = st.floats(0.05, 1.0)
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted)
+    factors = [prior_factor(draw(st.integers(0, n - 1)), draw(st.floats(15.0, 25.0)),
+                            draw(var))]
+    factors += [odom_factor(i, i + 1, draw(st.floats(-2.0, 2.0)), draw(var))
+                for i in range(n - 1)]
+    factors += [range_factor(*draw(pair), draw(st.floats(1.0, 6.0)), draw(var),
+                             draw(st.floats(0.5, 3.0)))
+                for _ in range(draw(st.integers(0, 8)))]
+    factors += [stereo_factor(draw(st.integers(0, n - 1)), draw(st.floats(1.5, 2.5)),
+                              400.0, 0.1, draw(var))
+                for _ in range(draw(st.integers(0, 4)))]
+    factors.append(quartic_factor(draw(st.integers(0, n - 1)), draw(st.floats(15.0, 25.0)),
+                                  0.01, 0.5))
+    graph = FactorGraph(n, tuple(draw(st.permutations(factors))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mean = rng.uniform(15.0, 25.0, n)
+    a = rng.standard_normal((n, n)) * 0.15
+    sigma = a @ a.T + np.diag(rng.uniform(0.05, 0.3, n))
+    return graph, mean, sigma, gh_spec(draw(st.integers(1, 10)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_kind_problems())
+def test_batched_expectations_match_per_factor_oracle(problem):
+    graph, mean, sigma, spec = problem
+    g, h, loss = graph._plan.expectations(mean, sigma, spec, with_value=True)
+    g_ref, h_ref, loss_ref = gvi._per_factor_expectations(graph, mean, sigma, spec,
+                                                          with_value=True)
+    assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+    assert np.abs(h - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
+    assert loss == pytest.approx(loss_ref, rel=1e-12)

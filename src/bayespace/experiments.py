@@ -142,12 +142,23 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_summary(path: Path, payload: Dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file.
+
+    An existing file is unlinked, not truncated: ext4 (auto_da_alloc) flushes
+    a truncated and rewritten file to the device when it is closed, so every
+    rerun into one output directory would wait on one disk write per file.
+    A new file is left to ordinary delayed writeback.
+    """
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def _config_echo(cfg: ExperimentConfig) -> Dict:
@@ -477,7 +488,7 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
     truth = first["truth"]
     tr_vi: IterationTrace = first["esgvi"]
     tr_map: IterationTrace = first["map_gn"]
-    (out / "graph.txt").write_text(dumps_graph(graph), encoding="utf-8")
+    _write_text(out / "graph.txt", dumps_graph(graph))
 
     kinds = ["pose"] * cfg.n_poses + ["landmark"] * cfg.n_landmarks
     est_vi = tr_vi.coordinates[-1]

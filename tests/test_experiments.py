@@ -1,5 +1,6 @@
 """Experiment harness and CLI: outputs, determinism, and exit codes."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -241,6 +242,20 @@ class TestGviDemo:
             run_gvi_demo(ExperimentConfig(out_dir=str(out), seed=11))
         for name in ("errors.csv", "series.csv", "graph.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_rerun_replaces_outputs_instead_of_writing_through(self, tmp_path):
+        # Outputs are unlinked and written anew, never truncated in place, so
+        # another name for an old output keeps its bytes.
+        cfg = ExperimentConfig(out_dir=str(tmp_path / "out"), seed=11)
+        run_gvi_demo(cfg)
+        names = ("errors.csv", "series.csv", "graph.txt", "summary.json")
+        for name in names:
+            (tmp_path / name).hardlink_to(tmp_path / "out" / name)
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        run_gvi_demo(dataclasses.replace(cfg, seed=12))
+        for name in names:
+            assert (tmp_path / name).read_bytes() == before[name]
+        assert (tmp_path / "out" / "graph.txt").read_bytes() != before["graph.txt"]
 
 
 class TestCLI:

@@ -15,6 +15,7 @@ when they are absent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -198,6 +199,14 @@ def _grid_boundary_mask(points: np.ndarray, bounds) -> np.ndarray:
     return mask
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_edge(spec: QuadratureSpec, dim: int) -> np.ndarray:
+    """The boundary mask of ``trapezoid_points(spec, dim)``, built once (read-only)."""
+    mask = _grid_boundary_mask(trapezoid_points(spec, dim)[0], spec.grid_bounds)
+    mask.flags.writeable = False
+    return mask
+
+
 def _resolve_grid_spec(spec: QuadratureSpec, dim: int,
                        measure: Optional[GaussianMeasure]) -> QuadratureSpec:
     if spec.grid_bounds is not None:
@@ -226,7 +235,7 @@ def log_partition(p: BayesElement, spec: QuadratureSpec,
             raise EvaluationFailure("phi returned NaN on the normalization grid")
         shift = phi.min()
         dens = np.exp(-(phi - shift))
-        edge = _grid_boundary_mask(points, spec.grid_bounds)
+        edge = _grid_edge(spec, p.dim)
         if dens[edge].max(initial=0.0) > _EDGE_DECAY_GRID * dens.max():
             raise NotNormalizable("density does not decay at the domain boundary")
         total = float(dx @ dens)

@@ -21,7 +21,7 @@ import numpy as np
 from .elements import BayesElement, add, gaussian_element, information, normalize, subtract
 from .errors import ConfigError, NotNormalizable
 from .gaussian import project_to_gaussian
-from .graphio import dumps_graph
+from .graphio import dumps_graph, write_new_text
 from .gvi import (FactorGraph, GaussianState, GviOptions, fill_pattern,
                   gvi_sparse_solve, odom_factor, prior_factor, range_factor,
                   stereo_factor)
@@ -138,27 +138,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+_CSV_BLOCK_ROWS = 256
+
+
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a table given by columns; floats print as their ``repr``.
+
+    An all-float64 table is formatted from ``tolist()`` in blocks of rows,
+    which gives the same bytes as ``_fmt`` per value without building a
+    string per value up front; mixed columns go through ``_fmt``.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    if columns and all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns):
+        table = np.column_stack(columns)
+        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS].tolist()
+            lines += [",".join(map(repr, row)) for row in block]
+    else:
+        lines += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    write_new_text(path, "\n".join(lines) + "\n")
+
+
+def _padded(values: Sequence, n: int) -> List:
+    """``values`` followed by empty cells up to ``n`` rows."""
+    return list(values) + [""] * (n - len(values))
 
 
 def _write_summary(path: Path, payload: Dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as a new file.
-
-    An existing file is unlinked, not truncated: ext4 (auto_da_alloc) flushes
-    a truncated and rewritten file to the device when it is closed, so every
-    rerun into one output directory would wait on one disk write per file.
-    A new file is left to ordinary delayed writeback.
-    """
-    path.unlink(missing_ok=True)
-    path.write_text(text, encoding="utf-8")
+    write_new_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _config_echo(cfg: ExperimentConfig) -> Dict:
@@ -249,9 +256,7 @@ def run_stereo_project(cfg: ExperimentConfig) -> Dict:
         scalars[f"mean_{name}"] = float(proj.mean_like[0])
         scalars[f"variance_{name}"] = float(1.0 / proj.info[0, 0])
 
-    header = ["x", *columns.keys()]
-    rows = zip(points, *columns.values())
-    _write_csv(out / "densities.csv", header, rows)
+    _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
     summary = {"experiment": "stereo-project", "config": _config_echo(cfg), **scalars}
     _write_summary(out / "summary.json", summary)
     return summary
@@ -281,11 +286,11 @@ def run_stereo_iterate(cfg: ExperimentConfig) -> Dict:
     columns["iter_0"] = _density_column(problem.prior, grid)
     for i, est in enumerate(trace.estimates, start=1):
         columns[f"iter_{i}"] = _density_column(est, grid)
-    _write_csv(out / "densities.csv", ["x", *columns.keys()], zip(points, *columns.values()))
+    _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
     _write_csv(out / "series.csv",
                ["iteration", "kl", "divergence", "step_norm"],
-               zip(range(1, trace.iterations + 1), trace.kl, trace.divergence,
-                   trace.step_norm))
+               [range(1, trace.iterations + 1), trace.kl, trace.divergence,
+                trace.step_norm])
     summary = {
         "experiment": "stereo-iterate",
         "config": _config_echo(cfg),
@@ -333,8 +338,8 @@ def run_hermite_sweep(cfg: ExperimentConfig) -> Dict:
             not_normalizable.append(m)
 
     _write_csv(out / "divergence.csv", ["basis_functions", "divergence"],
-               zip(orders, divergences))
-    _write_csv(out / "densities.csv", ["x", *columns.keys()], zip(points, *columns.values()))
+               [orders, divergences])
+    _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
     summary = {
         "experiment": "hermite-sweep",
         "config": _config_echo(cfg),
@@ -370,16 +375,10 @@ def run_hermite_iterate(cfg: ExperimentConfig) -> Dict:
         "final_m2": _density_column(trace2.estimates[-1], grid),
         f"final_m{order}": _density_column(trace_m.estimates[-1], grid),
     }
-    _write_csv(out / "densities.csv", ["x", *columns.keys()], zip(points, *columns.values()))
+    _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
     n = max(trace2.iterations, trace_m.iterations)
-    rows = []
-    for i in range(n):
-        rows.append((
-            i + 1,
-            trace2.kl[i] if i < len(trace2.kl) else "",
-            trace_m.kl[i] if i < len(trace_m.kl) else "",
-        ))
-    _write_csv(out / "series.csv", ["iteration", "kl_m2", f"kl_m{order}"], rows)
+    _write_csv(out / "series.csv", ["iteration", "kl_m2", f"kl_m{order}"],
+               [range(1, n + 1), _padded(trace2.kl, n), _padded(trace_m.kl, n)])
     summary = {
         "experiment": "hermite-iterate",
         "config": _config_echo(cfg),
@@ -488,36 +487,26 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
     truth = first["truth"]
     tr_vi: IterationTrace = first["esgvi"]
     tr_map: IterationTrace = first["map_gn"]
-    _write_text(out / "graph.txt", dumps_graph(graph))
+    write_new_text(out / "graph.txt", dumps_graph(graph))
 
     kinds = ["pose"] * cfg.n_poses + ["landmark"] * cfg.n_landmarks
     est_vi = tr_vi.coordinates[-1]
     est_map = tr_map.coordinates[-1]
     sig_vi = np.sqrt(np.diag(tr_vi.measures[-1].covariance))
     sig_map = np.sqrt(np.diag(tr_map.measures[-1].covariance))
-    rows = []
-    for i in range(n):
-        rows.append((i, kinds[i], truth[i],
-                     est_vi[i], est_vi[i] - truth[i], 3.0 * sig_vi[i],
-                     est_map[i], est_map[i] - truth[i], 3.0 * sig_map[i]))
     _write_csv(out / "errors.csv",
                ["variable", "kind", "truth",
                 "esgvi_mean", "esgvi_error", "esgvi_sigma3",
-                "map_mean", "map_error", "map_sigma3"], rows)
+                "map_mean", "map_error", "map_sigma3"],
+               [range(n), kinds, truth, est_vi, est_vi - truth, 3.0 * sig_vi,
+                est_map, est_map - truth, 3.0 * sig_map])
 
     iters = max(tr_vi.iterations, tr_map.iterations)
-    series_rows = []
-    for i in range(iters):
-        series_rows.append((
-            i + 1,
-            tr_vi.step_norm[i] if i < len(tr_vi.step_norm) else "",
-            tr_vi.kl[i] if i < len(tr_vi.kl) else "",
-            tr_map.step_norm[i] if i < len(tr_map.step_norm) else "",
-            tr_map.kl[i] if i < len(tr_map.kl) else "",
-        ))
     _write_csv(out / "series.csv",
                ["iteration", "esgvi_step_norm", "esgvi_loss",
-                "map_step_norm", "map_loss"], series_rows)
+                "map_step_norm", "map_loss"],
+               [range(1, iters + 1), _padded(tr_vi.step_norm, iters), _padded(tr_vi.kl, iters),
+                _padded(tr_map.step_norm, iters), _padded(tr_map.kl, iters)])
 
     summary = {
         "experiment": "gvi-demo",

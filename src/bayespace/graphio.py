@@ -18,6 +18,7 @@ serialized under their registered id.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable, Dict, Sequence, Tuple
 
 from .gvi import Factor, FactorGraph, odom_factor, prior_factor, range_factor, stereo_factor
@@ -90,9 +91,21 @@ def loads_graph(text: str) -> FactorGraph:
     return FactorGraph(num_vars=num_vars, factors=tuple(factors))
 
 
+def write_new_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file.
+
+    An existing file is unlinked, not truncated: ext4 (auto_da_alloc) flushes
+    a truncated and rewritten file to the device when it is closed, so every
+    rewrite of one path would wait on one disk write.  A new file is left to
+    ordinary delayed writeback.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def dump_graph(graph: FactorGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_graph(graph))
+    write_new_text(path, dumps_graph(graph))
 
 
 def load_graph(path) -> FactorGraph:

@@ -75,16 +75,19 @@ class FactorGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
-        covered = np.zeros(self.num_vars, dtype=bool)
+        if self.num_vars < 0:
+            raise ValueError(f"num_vars must be nonnegative, got {self.num_vars}")
+        # A set, not a per-variable array: a huge num_vars allocates nothing.
+        covered = set()
         for f in self.factors:
             for i in f.indices:
                 if not 0 <= i < self.num_vars:
                     raise ValueError(f"factor index {i} outside 0..{self.num_vars - 1}")
-                covered[i] = True
-        if not covered.all():
-            missing = np.flatnonzero(~covered)
-            raise ValueError(f"variables {missing.tolist()} appear in no factor; "
-                             "the information matrix would be singular")
+            covered.update(f.indices)
+        if len(covered) < self.num_vars:
+            first = [i for i in range(min(self.num_vars, len(covered) + 10)) if i not in covered]
+            raise ValueError(f"{self.num_vars - len(covered)} variables (first {first}) "
+                             "appear in no factor; the information matrix would be singular")
 
     @functools.cached_property
     def _plan(self) -> "_Plan":

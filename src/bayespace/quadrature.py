@@ -113,15 +113,19 @@ def _grid_axes(nu: GaussianMeasure, spec: QuadratureSpec) -> list[np.ndarray]:
     return [np.linspace(lo, hi, spec.nodes_per_dim) for lo, hi in bounds]
 
 
+@functools.lru_cache(maxsize=16)
 def trapezoid_points(spec: QuadratureSpec, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Tensor trapezoid abscissae and dx-weights for explicit grid bounds."""
+    """Tensor trapezoid abscissae and dx-weights for explicit grid bounds (read-only)."""
     if spec.grid_bounds is None:
         raise ValueError("trapezoid grid requires explicit bounds")
     if len(spec.grid_bounds) != dim:
         raise ValueError(f"{len(spec.grid_bounds)} grid bounds for dimension {dim}")
     _check_budget(spec.nodes_per_dim, dim)
     axes = [np.linspace(lo, hi, spec.nodes_per_dim) for lo, hi in spec.grid_bounds]
-    return _tensorize(axes)
+    points, weights = _tensorize(axes)
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    return points, weights
 
 
 def _tensorize(axes: list[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:

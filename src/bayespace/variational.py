@@ -137,12 +137,13 @@ def reporting_grid(measure: GaussianMeasure, points: int = 2001,
     return grid_spec(points, bounds)
 
 
-def _kl_terms(q: BayesElement, p: BayesElement, spec: QuadratureSpec):
-    """(E_qhat[phi_p - phi_q], log Z_q, log Z_p) on a shared grid."""
+def _kl_terms(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
+              normalize_target: bool = True):
+    """(E_qhat[phi_p - phi_q], log Z_q, log Z_p or None) on a shared grid."""
     if spec.kind != GRID or spec.grid_bounds is None:
         raise ValueError("KL evaluation requires a grid quadrature with bounds")
     log_zq = log_partition(q, spec)
-    log_zp = log_partition(p, spec)
+    log_zp = log_partition(p, spec) if normalize_target else None
     points, w = moment_nodes(q, spec)
     t = np.asarray(p.phi(points), dtype=float) - np.asarray(q.phi(points), dtype=float)
     # Isolated +inf target values carry no mass where qhat has underflowed.
@@ -164,7 +165,7 @@ def kl(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
     value is the absolute divergence between the two PDFs; without it, the
     target enters through its raw phi (the form the coordinate Hessian uses).
     """
-    mean_t, log_zq, log_zp = _kl_terms(q, p, spec)
+    mean_t, log_zq, log_zp = _kl_terms(q, p, spec, normalize_target)
     value = mean_t - log_zq
     return value + log_zp if normalize_target else value
 
@@ -327,6 +328,7 @@ def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasu
     opts = opts or IterateOptions()
     kl_grid = opts.kl_grid or reporting_grid(init_measure)
     trace = IterationTrace()
+    log_zp = None  # the target's log-partition on kl_grid, computed once
     measure = init_measure
     from .elements import gaussian_element
     current = gaussian_element(measure.mean, measure.covariance)
@@ -357,7 +359,10 @@ def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasu
             err.trace = trace
             raise err
         try:
-            kl_value = kl(estimate, p, kl_grid)
+            kl_value = kl(estimate, p, kl_grid, normalize_target=False)
+            if log_zp is None:
+                log_zp = log_partition(p, kl_grid)
+            kl_value = kl_value + log_zp
         except NotNormalizable as exc:
             trace.aborted = f"estimate not normalizable: {exc}"
             err = NotNormalizable(trace.aborted)

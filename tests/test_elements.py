@@ -6,11 +6,13 @@ import pytest
 from bayespace.elements import (BayesElement, add, constant_element, divergence,
                                 element_grad, element_hess, equivalent,
                                 gaussian_element, information, inner_product,
-                                normalize, scale, stochastic_derivative, subtract)
+                                log_partition, normalize, scale, stochastic_derivative,
+                                subtract)
+from bayespace.elements import _grid_boundary_mask, _grid_edge
 from bayespace.errors import DimensionMismatch, NotNormalizable
 from bayespace.hermite import HermiteBasis1D, basis_element
 from bayespace.measures import GaussianMeasure
-from bayespace.quadrature import gh_spec, grid_spec
+from bayespace.quadrature import gh_spec, grid_spec, trapezoid_points
 
 SPEC = gh_spec(20)
 GRID8 = grid_spec(2001, [(-8.0, 8.0)])
@@ -149,6 +151,25 @@ class TestNormalize:
         probe = np.array([[18.0], [22.0], [26.0]])
         expected = np.exp(-stereo.posterior.phi(probe)) / oracle
         assert np.allclose(dens(probe), expected, rtol=1e-6)
+
+
+    def test_cached_edge_mask_matches_a_fresh_mask(self):
+        # Far from the origin isclose's relative tolerance flags about 40
+        # nodes at each end, not only the end nodes; the cached mask keeps that.
+        spec = grid_spec(4001, [(1000.0, 1001.0)])
+        fresh = _grid_boundary_mask(trapezoid_points(spec, 1)[0], spec.grid_bounds)
+        assert fresh.sum() > 2
+        cached = _grid_edge(spec, 1)
+        assert np.array_equal(cached, fresh)
+        assert _grid_edge(spec, 1) is cached and not cached.flags.writeable
+
+    def test_mass_inside_the_edge_band_is_not_normalizable(self):
+        # Peaked 0.01 inside the upper bound: both end nodes have decayed, but
+        # the peak sits in the band the edge mask flags.
+        spec = grid_spec(4001, [(1000.0, 1001.0)])
+        with pytest.raises(NotNormalizable):
+            log_partition(gaussian_element([1000.99], [[1e-6]]), spec)
+        assert np.isfinite(log_partition(gaussian_element([1000.5], [[1e-4]]), spec))
 
 
 class TestInnerProduct:

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bayespace.cli import main
 from bayespace.errors import ConfigError
-from bayespace.experiments import (ExperimentConfig, make_chain, run_gvi_demo,
+from bayespace.experiments import (_CSV_BLOCK_ROWS, ExperimentConfig, _fmt, _padded,
+                                   _write_csv, make_chain, run_gvi_demo,
                                    run_hermite_iterate, run_hermite_sweep,
                                    run_stereo_iterate, run_stereo_project)
 from bayespace.graphio import dumps_graph
@@ -310,3 +312,64 @@ class TestCLI:
     def test_non_finite_config_field_rejected(self):
         with pytest.raises(ConfigError, match="mu_p"):
             ExperimentConfig(mu_p=float("nan")).validate()
+
+
+# Values where repr changes form (exponent switch points and their
+# neighbours), signed zeros, subnormals and the non-finite values.
+_SPECIAL_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, 1e-4, np.nextafter(1e-4, 0.0),
+    1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), 1e16, np.nextafter(1e16, 0.0),
+    -1e16, 0.1, 1.0 / 3.0,
+]
+
+
+def _per_value_csv(header, columns) -> bytes:
+    """The bytes of the one-value-at-a-time formatting the writer replaces."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestCsvWriter:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.sampled_from([0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                 _CSV_BLOCK_ROWS + 1, 2001]),
+           ncols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           specials=st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                                       st.sampled_from(_SPECIAL_FLOATS)), max_size=16))
+    def test_float_table_matches_per_value_formatting(self, tmp_path, rows, ncols, seed,
+                                                      specials):
+        rng = np.random.default_rng(seed)
+        # Raw bit patterns cover every exponent, nan payloads and subnormals;
+        # scaled normals cover ordinary magnitudes.
+        bits = np.frombuffer(rng.bytes(8 * ncols * rows), dtype=np.float64)
+        scaled = rng.standard_normal(ncols * rows) * 10.0 ** rng.integers(-20, 21, ncols * rows)
+        table = np.where(rng.random(ncols * rows) < 0.5, bits, scaled)
+        for position, value in specials:
+            if table.size:
+                table[position % table.size] = value
+        columns = list(table.reshape(ncols, rows))
+        header = [f"c{j}" for j in range(ncols)]
+        path = tmp_path / "table.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == _per_value_csv(header, columns)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), rows=st.integers(0, 40))
+    def test_mixed_table_matches_per_value_formatting(self, tmp_path, data, rows):
+        floats = st.floats(allow_subnormal=True) | st.sampled_from(_SPECIAL_FLOATS)
+        column = st.lists(floats, min_size=rows, max_size=rows)
+        columns = [
+            range(rows),
+            data.draw(st.lists(st.sampled_from(["pose", "landmark"]),
+                               min_size=rows, max_size=rows)),
+            np.array(data.draw(column), dtype=np.float64),
+            _padded(data.draw(st.lists(floats, max_size=rows)), rows),
+            data.draw(column),
+        ]
+        header = ["iteration", "kind", "array", "padded", "list"]
+        path = tmp_path / "table.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == _per_value_csv(header, columns)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayespace.graphio import (dumps_graph, loads_graph, load_graph, dump_graph,
                                register_factor_type)
@@ -35,6 +36,17 @@ class TestRoundTrip:
         path = tmp_path / "graph.txt"
         dump_graph(graph, path)
         assert load_graph(path).num_vars == 3
+
+    def test_rewrite_replaces_file_instead_of_writing_through(self, tmp_path):
+        # The target is unlinked and written anew, never truncated in place,
+        # so another name for the old file keeps its bytes.
+        path = tmp_path / "graph.txt"
+        dump_graph(sample_graph(), path)
+        (tmp_path / "old.txt").hardlink_to(path)
+        before = path.read_bytes()
+        dump_graph(FactorGraph(1, (prior_factor(0, 1.0, 2.0),)), path)
+        assert (tmp_path / "old.txt").read_bytes() == before
+        assert path.read_bytes() != before
 
     def test_comments_and_blank_lines(self):
         text = """
@@ -70,6 +82,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=r"^line 3: "):
             loads_graph(f"VAR 2\nFACTOR prior 0 0.0 1.0\n{record}\nFACTOR prior 1 0.0 1.0\n")
 
+    @pytest.mark.parametrize("count", ["10000000000000", "9223372036854775807"])
+    def test_huge_var_count_is_a_value_error(self, count):
+        # Coverage is checked without a per-variable array, so a damaged
+        # count neither allocates nor escapes as MemoryError.
+        with pytest.raises(ValueError, match="appear in no factor"):
+            loads_graph(f"VAR {count}\nFACTOR prior 0 0.0 1.0\n")
+
     @pytest.mark.parametrize("record", ["VAR", "VAR 2 3", "VAR x", "VAR -1"])
     def test_invalid_var_names_its_line(self, record):
         with pytest.raises(ValueError, match=r"^line 2: "):
@@ -87,3 +106,90 @@ class TestRoundTrip:
         back = loads_graph(dumps_graph(graph))
         assert back.factors[0].kind == "cubic-pull"
         assert back.factors[0].params == (0.3,)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
+                      allow_subnormal=True)
+
+
+@st.composite
+def random_graphs(draw):
+    """Graphs over 1 to 6 variables with factors of every built-in kind, in any order."""
+    n = draw(st.integers(1, 6))
+    factors = []
+    for kind in draw(st.lists(st.sampled_from(["prior", "odom", "range", "stereo"]),
+                              max_size=12)):
+        if kind in ("odom", "range") and n < 2:
+            kind = "prior"
+        i = draw(st.integers(0, n - 1 - (kind in ("odom", "range"))))
+        j = draw(st.integers(i + 1, n - 1)) if kind in ("odom", "range") else None
+        if kind == "prior":
+            factors.append(prior_factor(i, draw(_FINITE), draw(_POSITIVE)))
+        elif kind == "odom":
+            factors.append(odom_factor(i, j, draw(_FINITE), draw(_POSITIVE)))
+        elif kind == "range":
+            factors.append(range_factor(i, j, draw(_FINITE), draw(_POSITIVE), draw(_FINITE)))
+        else:
+            factors.append(stereo_factor(i, draw(_FINITE), draw(_FINITE), draw(_FINITE),
+                                         draw(_POSITIVE)))
+    covered = {i for f in factors for i in f.indices}
+    factors += [prior_factor(i, draw(_FINITE), draw(_POSITIVE))
+                for i in range(n) if i not in covered]
+    return FactorGraph(n, tuple(draw(st.permutations(factors))))
+
+
+class TestProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(random_graphs())
+    def test_round_trip_keeps_every_factor(self, graph):
+        text = dumps_graph(graph)
+        back = loads_graph(text)
+        assert back.num_vars == graph.num_vars
+        assert ([(f.kind, f.indices, f.params) for f in back.factors]
+                == [(f.kind, f.indices, f.params) for f in graph.factors])
+        assert dumps_graph(back) == text
+
+    # Tokens a damaged or hand-edited file may hold: record tags, kind ids,
+    # numbers the parser must reject or accept, and odd whitespace.
+    _TOKENS = ["VAR", "FACTOR", "var", "prior", "odom", "range", "stereo", "nope", "#",
+               "0", "1", "2", "-1", "7", "0.5", "-0.0", "nan", "inf", "-inf", "1e400",
+               "1e-400", "0x10", "1_000", "+2", "1.5.2", "x", "", " ", "\t", "\n", "\r",
+               "\x0b", "\u2028", "\x00", "\u0663", "10000000000000", "99999999999999999999"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(), st.data())
+    def test_parser_raises_only_value_error_on_mutated_text(self, graph, data):
+        lines = [line.split(" ") for line in dumps_graph(graph).splitlines()]
+        for _ in range(data.draw(st.integers(1, 6))):
+            op = data.draw(st.sampled_from(["replace", "insert", "delete", "drop_line",
+                                            "copy_line", "swap_lines", "char"]))
+            row = data.draw(st.integers(0, len(lines) - 1)) if lines else None
+            if row is None:
+                lines.append([data.draw(st.sampled_from(self._TOKENS))])
+            elif op in ("replace", "insert", "delete"):
+                at = data.draw(st.integers(0, max(len(lines[row]) - 1, 0)))
+                token = data.draw(st.sampled_from(self._TOKENS))
+                if op == "replace" and lines[row]:
+                    lines[row][at] = token
+                elif op == "insert":
+                    lines[row].insert(at, token)
+                elif lines[row]:
+                    del lines[row][at]
+            elif op == "drop_line":
+                del lines[row]
+            elif op == "copy_line":
+                lines.insert(data.draw(st.integers(0, len(lines))), list(lines[row]))
+            elif op == "swap_lines":
+                other = data.draw(st.integers(0, len(lines) - 1))
+                lines[row], lines[other] = lines[other], lines[row]
+            else:
+                text = " ".join(lines[row])
+                at = data.draw(st.integers(0, len(text)))
+                lines[row] = (text[:at] + data.draw(st.characters()) + text[at:]).split(" ")
+        text = "\n".join(" ".join(line) for line in lines)
+        try:
+            back = loads_graph(text)
+        except ValueError:
+            return
+        assert isinstance(back, FactorGraph)

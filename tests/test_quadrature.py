@@ -7,7 +7,7 @@ from bayespace.errors import EvaluationFailure
 from bayespace.hermite import hermite_poly
 from bayespace.measures import GaussianMeasure
 from bayespace.quadrature import (expect, gauss_hermite_rule, gh_spec, grid_spec,
-                                  stein_check, tensor_rule)
+                                  stein_check, tensor_rule, trapezoid_points)
 
 
 def std_normal_moment(k: int) -> float:
@@ -133,6 +133,23 @@ class TestExpect:
         gh_val = expect(f, nu, gh_spec(20))
         assert np.isfinite(gh_val)
         assert gh_val == pytest.approx(oracle, rel=1e-3)
+
+
+class TestTrapezoidPoints:
+    def test_repeated_call_returns_the_same_read_only_arrays(self):
+        points, dx = trapezoid_points(grid_spec(101, [(-2.0, 3.0)]), 1)
+        again = trapezoid_points(grid_spec(101, [(-2.0, 3.0)]), 1)
+        assert again[0] is points and again[1] is dx
+        assert np.array_equal(points[:, 0], np.linspace(-2.0, 3.0, 101))
+        for array in (points, dx):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_invalid_requests_still_raise(self):
+        with pytest.raises(ValueError):
+            trapezoid_points(grid_spec(11), 1)
+        with pytest.raises(ValueError):
+            trapezoid_points(grid_spec(11, [(0.0, 1.0)]), 2)
 
 
 class TestSteinIdentities:

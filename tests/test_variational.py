@@ -7,7 +7,8 @@ from bayespace.elements import (BayesElement, constant_element, equivalent,
                                 gaussian_element, information, inner_product,
                                 log_partition, moment_nodes, scale_by_function,
                                 subtract)
-from bayespace.errors import MeasureInvalid, SingularGram
+from bayespace import variational
+from bayespace.errors import MeasureInvalid, NotNormalizable, SingularGram
 from bayespace.gaussian import gaussian_basis, project_to_gaussian
 from bayespace.hermite import HermiteBasis1D, reconstruct
 from bayespace.measures import GaussianMeasure
@@ -296,6 +297,35 @@ class TestIterate:
         assert trace.converged
         assert equivalent(trace.estimates[0], target, rtol=1e-8)
         assert trace.kl[0] == pytest.approx(0.0, abs=1e-10)
+
+    def test_target_log_partition_computed_once_per_run(self, stereo, monkeypatch):
+        calls = []
+        real = variational.log_partition
+
+        def counting(p, *args, **kwargs):
+            calls.append(p)
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(variational, "log_partition", counting)
+        grid = reporting_grid(stereo.prior_measure)
+        trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
+                        IterateOptions(tol=0.0, max_iters=4, kl_grid=grid))
+        assert trace.iterations == 4
+        assert sum(p is stereo.posterior for p in calls) == 1
+        # The same bits as the absolute KL computed from scratch.
+        assert trace.kl == [kl(q, stereo.posterior, grid) for q in trace.estimates]
+
+    def test_non_normalizable_target_raises_with_trace(self):
+        # A Cauchy-like target: its Gaussian projection is fine, but it does
+        # not decay on the KL grid, so the first KL evaluation raises.
+        target = BayesElement(1, lambda x: np.log1p(x[:, 0] ** 2),
+                              lambda x: 2.0 * x / (1.0 + x**2),
+                              lambda x: (2.0 * (1.0 - x**2) / (1.0 + x**2) ** 2)[:, :, None])
+        with pytest.raises(NotNormalizable) as err:
+            iterate(target, GaussianSubspace(), GaussianMeasure([0.0], [[1.0]]),
+                    IterateOptions(max_iters=3, kl_grid=grid_spec(2001, [(-8.0, 8.0)])))
+        assert err.value.trace.aborted.startswith("estimate not normalizable")
+        assert err.value.trace.iterations == 0
 
     def test_stereo_converges_in_about_five_iterations(self, stereo):
         trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,

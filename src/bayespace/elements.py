@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EvaluationFailure, NotNormalizable
 from .measures import GaussianMeasure
-from .quadrature import (GRID, QuadratureSpec, measure_nodes, tensor_rule,
-                         trapezoid_points)
+from .quadrature import (GRID, QuadratureSpec, default_grid_bounds, grid_spec,
+                         measure_nodes, tensor_rule, trapezoid_points)
 
 _FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)      # first derivatives
 _FD_STEP2 = np.finfo(float).eps ** 0.25            # direct second differences
@@ -207,17 +207,34 @@ def _grid_edge(spec: QuadratureSpec, dim: int) -> np.ndarray:
     return mask
 
 
-def _resolve_grid_spec(spec: QuadratureSpec, dim: int,
-                       measure: Optional[GaussianMeasure]) -> QuadratureSpec:
-    if spec.grid_bounds is not None:
-        return spec
-    if measure is None:
-        raise ValueError("grid quadrature needs explicit bounds or a measure hint")
-    sig = measure.stddevs()
-    bounds = tuple((float(m - 8.0 * s), float(m + 8.0 * s))
-                   for m, s in zip(measure.mean, sig))
-    return QuadratureSpec(kind=GRID, nodes_per_dim=spec.nodes_per_dim,
-                          grid_bounds=bounds, tolerance=spec.tolerance)
+def _grid_density(p: BayesElement, spec: QuadratureSpec,
+                  measure: Optional[GaussianMeasure] = None):
+    """p normalized on a trapezoid grid: (points, phi, weights, log Z).
+
+    ``weights`` are the probability weights exp(-phi) dx / Z of the grid
+    nodes.  Raises :class:`EvaluationFailure` when phi is NaN and
+    :class:`NotNormalizable` when the density does not decay at the grid's
+    edge or its integral is not finite.  A grid without bounds takes the
+    default bounds of ``measure``.
+    """
+    if spec.grid_bounds is None:
+        if measure is None:
+            raise ValueError("grid quadrature needs explicit bounds or a measure hint")
+        spec = grid_spec(spec.nodes_per_dim, default_grid_bounds(measure))
+    points, dx = trapezoid_points(spec, p.dim)
+    phi = np.asarray(p.phi(points), dtype=float)
+    if np.isnan(phi).any():
+        raise EvaluationFailure("phi returned NaN on the normalization grid")
+    shift = phi.min()
+    dens = np.exp(-(phi - shift))
+    edge = _grid_edge(spec, p.dim)
+    if dens[edge].max(initial=0.0) > _EDGE_DECAY_GRID * dens.max():
+        raise NotNormalizable("density does not decay at the domain boundary")
+    total = float(dx @ dens)
+    if not np.isfinite(total) or total <= 0.0:
+        raise NotNormalizable("normalization integral is not finite")
+    w = dx * dens
+    return points, phi, w / w.sum(), float(np.log(total) - shift)
 
 
 def log_partition(p: BayesElement, spec: QuadratureSpec,
@@ -228,20 +245,7 @@ def log_partition(p: BayesElement, spec: QuadratureSpec,
     configured domain, which signals the element has no valid PDF there.
     """
     if spec.kind == GRID:
-        spec = _resolve_grid_spec(spec, p.dim, measure)
-        points, dx = trapezoid_points(spec, p.dim)
-        phi = np.asarray(p.phi(points), dtype=float)
-        if np.isnan(phi).any():
-            raise EvaluationFailure("phi returned NaN on the normalization grid")
-        shift = phi.min()
-        dens = np.exp(-(phi - shift))
-        edge = _grid_edge(spec, p.dim)
-        if dens[edge].max(initial=0.0) > _EDGE_DECAY_GRID * dens.max():
-            raise NotNormalizable("density does not decay at the domain boundary")
-        total = float(dx @ dens)
-        if not np.isfinite(total) or total <= 0.0:
-            raise NotNormalizable("normalization integral is not finite")
-        return float(np.log(total) - shift)
+        return _grid_density(p, spec, measure)[3]
     if measure is None:
         raise ValueError("Gauss-Hermite normalization needs a reference measure")
     points, w = measure_nodes(measure, spec)
@@ -280,19 +284,15 @@ def moment_nodes(nu: MeasureLike, spec: QuadratureSpec) -> Tuple[np.ndarray, np.
     """Probability-weighted nodes for E_nu[.]; nu may be a normalized element.
 
     Element measures are realized on a trapezoid grid (explicit bounds
-    required) with weights proportional to exp(-phi_nu).
+    required) with weights proportional to exp(-phi_nu); an element that
+    does not decay at the grid's edge raises :class:`NotNormalizable`.
     """
     if isinstance(nu, GaussianMeasure):
         return measure_nodes(nu, spec)
     if spec.kind != GRID:
         raise ValueError("element-valued measures require a grid quadrature")
-    points, dx = trapezoid_points(spec, nu.dim)
-    phi = np.asarray(nu.phi(points), dtype=float)
-    w = dx * np.exp(-(phi - phi.min()))
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise NotNormalizable("measure element is not normalizable on the grid")
-    return points, w / total
+    points, _, w, _ = _grid_density(nu, spec)
+    return points, w
 
 
 def _phi_at(p: BayesElement, points: np.ndarray) -> np.ndarray:

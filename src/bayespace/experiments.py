@@ -27,9 +27,9 @@ from .gvi import (FactorGraph, GaussianState, GviOptions, fill_pattern,
                   stereo_factor)
 from .hermite import HermiteBasis1D, reconstruct
 from .measures import GaussianMeasure
-from .quadrature import QuadratureSpec, gh_spec, grid_spec
+from .quadrature import QuadratureSpec, default_grid_bounds, gh_spec, grid_spec
 from .variational import (GaussianSubspace, HermiteSubspace, IterateOptions,
-                          IterationTrace, iterate, kl, project, reporting_grid)
+                          IterationTrace, iterate, kl, project)
 
 DENSITY_GRID_POINTS = 2001
 SWEEP_GRID_POINTS = 4001
@@ -188,13 +188,20 @@ class StereoProblem:
 
     @property
     def density_grid(self) -> QuadratureSpec:
-        return reporting_grid(self.prior_measure, points=DENSITY_GRID_POINTS)
+        return _config_grid(DENSITY_GRID_POINTS, default_grid_bounds(self.prior_measure))
 
     def sweep_grid(self) -> QuadratureSpec:
         """Trapezoid rule truncated 6 sigma around the prior, clear of the pole."""
         mu, sig = self.config.mu_p, np.sqrt(self.config.s2_p)
         lo = max(mu - 6.0 * sig, 1e-3)
-        return grid_spec(SWEEP_GRID_POINTS, [(lo, mu + 6.0 * sig)])
+        return _config_grid(SWEEP_GRID_POINTS, [(lo, mu + 6.0 * sig)])
+
+
+def _config_grid(points: int, bounds) -> QuadratureSpec:
+    try:
+        return grid_spec(points, bounds)
+    except ValueError as err:  # a prior too narrow or too far out collapses the grid
+        raise ConfigError(f"stereo grid: {err}") from None
 
 
 def make_stereo(cfg: ExperimentConfig) -> StereoProblem:
@@ -206,12 +213,15 @@ def make_stereo(cfg: ExperimentConfig) -> StereoProblem:
     rng = np.random.default_rng(cfg.seed)
     x_true = cfg.x_true
     z = cfg.z
-    if z is None:
-        if x_true is None:
-            x_true = float(rng.normal(cfg.mu_p, np.sqrt(cfg.s2_p)))
-        z = float(cfg.f * cfg.b / x_true + rng.normal(0.0, np.sqrt(cfg.s2_r)))
+    try:
+        if z is None:
+            if x_true is None:
+                x_true = float(rng.normal(cfg.mu_p, np.sqrt(cfg.s2_p)))
+            z = float(cfg.f * cfg.b / x_true + rng.normal(0.0, np.sqrt(cfg.s2_r)))
+        factor = stereo_factor(0, z, cfg.f, cfg.b, cfg.s2_r)
+    except (ArithmeticError, ValueError) as err:
+        raise ConfigError(f"stereo measurement: {err}") from None
     prior = gaussian_element([cfg.mu_p], [[cfg.s2_p]])
-    factor = stereo_factor(0, z, cfg.f, cfg.b, cfg.s2_r)
     measurement = factor.as_element()
     return StereoProblem(
         config=cfg, z=z, x_true=x_true, prior=prior, measurement=measurement,
@@ -418,14 +428,17 @@ def make_chain(cfg: ExperimentConfig, trial: int = 0,
     d = land_true[None, :] - poses_true[:, None]
     ranges = (d if cfg.linear else np.sqrt(d * d + h * h)) + rng.normal(0.0, sr, (np_, nl))
 
-    factors = [prior_factor(0, 0.0, s0**2)]
-    factors += [odom_factor(t, t + 1, u, su**2) for t, u in enumerate(odometry.tolist())]
-    for t, row in enumerate(ranges.tolist()):
-        for j, z in enumerate(row):
-            if cfg.linear:
-                factors.append(odom_factor(t, np_ + j, z, sr**2))
-            else:
-                factors.append(range_factor(t, np_ + j, z, sr**2, h))
+    try:
+        factors = [prior_factor(0, 0.0, s0**2)]
+        factors += [odom_factor(t, t + 1, u, su**2) for t, u in enumerate(odometry.tolist())]
+        for t, row in enumerate(ranges.tolist()):
+            for j, z in enumerate(row):
+                if cfg.linear:
+                    factors.append(odom_factor(t, np_ + j, z, sr**2))
+                else:
+                    factors.append(range_factor(t, np_ + j, z, sr**2, h))
+    except (ArithmeticError, ValueError) as err:
+        raise ConfigError(f"chain factor: {err}") from None
     graph = FactorGraph(np_ + nl, tuple(factors))
     truth = np.concatenate([poses_true, land_true])
 

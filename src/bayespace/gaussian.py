@@ -15,7 +15,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .elements import BayesElement, element_grad, element_hess
-from .errors import SingularInformation
+from .errors import EvaluationFailure, SingularInformation
 from .matrixops import DuplicationOps, build_duplication, unvech, vec, vech, vech_indices
 from .measures import GaussianMeasure, cholesky_or_raise
 from .quadrature import QuadratureSpec, measure_nodes
@@ -108,10 +108,15 @@ def _is_spd(a: np.ndarray) -> bool:
 
 def expected_derivatives(p: BayesElement, measure: GaussianMeasure,
                          spec: QuadratureSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """E_nu[d phi/dx] and E_nu[d^2 phi/dx dx] under the Gaussian measure."""
+    """E_nu[d phi/dx] and E_nu[d^2 phi/dx dx] under the Gaussian measure.
+
+    Raises :class:`EvaluationFailure` when either is not finite.
+    """
     points, w = measure_nodes(measure, spec)
     g = w @ element_grad(p, points)
     h = np.einsum("i,ijk->jk", w, element_hess(p, points))
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        raise EvaluationFailure("expected derivatives are not finite")
     return g, 0.5 * (h + h.T)
 
 

@@ -28,7 +28,7 @@ from .errors import EvaluationFailure, NonSPD
 from .gaussian import IndefGaussian
 from .measures import GaussianMeasure, cholesky_or_raise
 from .quadrature import QuadratureSpec, gh_spec, tensor_rule
-from .variational import IterationTrace
+from .variational import IterationTrace, _drive
 
 _MAX_FACTOR_DIM = 4
 # Quadrature nodes evaluated at once in a batch; bounds the working set
@@ -108,30 +108,18 @@ class FactorGraph:
             x = np.asarray(x, dtype=float)
             out = np.zeros_like(x)
             for f in factors:
-                out[:, f.indices] += _local_grad(f, x[:, f.indices])
+                out[:, f.indices] += element_grad(f.as_element(), x[:, f.indices])
             return out
 
         def hess(x):
             x = np.asarray(x, dtype=float)
             out = np.zeros((x.shape[0], n, n))
             for f in factors:
-                hk = _local_hess(f, x[:, f.indices])
+                hk = element_hess(f.as_element(), x[:, f.indices])
                 out[np.ix_(np.arange(x.shape[0]), f.indices, f.indices)] += hk
             return out
 
         return BayesElement(dim=n, phi=phi, grad=grad, hess=hess)
-
-
-def _local_grad(f: Factor, x_local: np.ndarray) -> np.ndarray:
-    if f.grad is not None:
-        return np.asarray(f.grad(x_local), dtype=float)
-    return element_grad(f.as_element(), x_local)
-
-
-def _local_hess(f: Factor, x_local: np.ndarray) -> np.ndarray:
-    if f.hess is not None:
-        return np.asarray(f.hess(x_local), dtype=float)
-    return element_hess(f.as_element(), x_local)
 
 
 def fill_pattern(graph: FactorGraph) -> np.ndarray:
@@ -235,8 +223,8 @@ def factor_expectations(factor: Factor, marginal: Tuple[np.ndarray, np.ndarray],
     xi, w = tensor_rule(spec.nodes_per_dim, k)
     low = _cholesky_stack(np.atleast_2d(np.asarray(cov_k, dtype=float))[None])[0]
     x = np.asarray(mean_k, dtype=float) + xi @ low.T
-    gv = _local_grad(factor, x)
-    hv = _local_hess(factor, x)
+    elem = factor.as_element()
+    gv, hv = element_grad(elem, x), element_hess(elem, x)
     if not (np.isfinite(gv).all() and np.isfinite(hv).all()):
         raise EvaluationFailure(f"factor {factor.kind}{factor.indices} derivative "
                                 "not finite at a quadrature node")
@@ -415,12 +403,7 @@ class GviOptions:
     tol: float = 1e-8
     max_iters: int = 50
     quad: QuadratureSpec = field(default_factory=lambda: gh_spec(10))
-    damping: float = 1.0
     record_loss: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 def _entropy(low: np.ndarray) -> float:
@@ -433,40 +416,28 @@ def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
               expectations: Callable) -> IterationTrace:
     """Iterate ``expectations(mean, sigma, spec, with_value) -> (g, h, loss)``
     with one Cholesky factorization of the new information per iteration."""
-    trace = IterationTrace()
-    if opts.damping < 1.0:
-        trace.notes.append(f"damping={opts.damping}")
     if (np.abs(init.info[~graph._plan.pattern]) > 0).any():
         raise ValueError("initial information has entries outside the graph fill")
-    mean = init.mean
     low = cholesky_or_raise(init.info, "information matrix")
-    sigma = _covariance(low)
 
-    for _ in range(opts.max_iters):
+    def step(state):
+        mean, sigma, low = state
         # the scatter writes only inside the fill, so h keeps the symbolic pattern
         g, h, loss = expectations(mean, sigma, opts.quad, opts.record_loss)
-        try:
-            new_low = cholesky_or_raise(h, "information matrix")
-        except NonSPD as err:
-            trace.aborted = str(err)
-            err.trace = trace
-            raise
-        if opts.record_loss:
-            trace.kl.append(loss - _entropy(low))
-        low = new_low
-        inv_low = np.linalg.solve(low, np.eye(mean.size))
-        step = opts.damping * (inv_low.T @ (inv_low @ -g))
-        mean = mean + step
+        new_low = cholesky_or_raise(h, "information matrix")
+        inv_low = np.linalg.solve(new_low, np.eye(mean.size))
+        delta = inv_low.T @ (inv_low @ -g)
+        mean = mean + delta
         sigma = inv_low.T @ inv_low
-        trace.coordinates.append(mean.copy())
-        trace.measures.append(GaussianMeasure(mean, sigma))
-        trace.gaussians.append(IndefGaussian(mean_like=mean.copy(), info=h, spd=True))
-        trace.step_norm.append(float(np.linalg.norm(step)))
-        trace.iterations += 1
-        if trace.step_norm[-1] < opts.tol:
-            trace.converged = True
-            break
-    return trace
+        record = {"coordinates": mean.copy(),
+                  "measures": GaussianMeasure(mean, sigma),
+                  "gaussians": IndefGaussian(mean_like=mean.copy(), info=h, spd=True),
+                  "step_norm": float(np.linalg.norm(delta))}
+        if opts.record_loss:
+            record["kl"] = loss - _entropy(low)
+        return (mean, sigma, new_low), record
+
+    return _drive(step, (init.mean, _covariance(low), low), opts.tol, opts.max_iters)
 
 
 def gvi_sparse_solve(graph: FactorGraph, init: GaussianState,

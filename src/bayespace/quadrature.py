@@ -38,7 +38,6 @@ class QuadratureSpec:
     kind: str = GAUSS_HERMITE
     nodes_per_dim: int = 20
     grid_bounds: Optional[Tuple[Tuple[float, float], ...]] = None
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in (GAUSS_HERMITE, GRID):
@@ -101,15 +100,19 @@ def _check_budget(n: int, dim: int):
         raise ValueError(f"{n}^{dim} tensor nodes exceed the {_MAX_TOTAL_NODES} budget")
 
 
+def default_grid_bounds(nu: GaussianMeasure, span: float = _GRID_SPAN_SIGMAS,
+                        ) -> Tuple[Tuple[float, float], ...]:
+    """Per-dimension (mean - span sigma, mean + span sigma): a grid's default bounds."""
+    return tuple((float(m - span * s), float(m + span * s))
+                 for m, s in zip(nu.mean, nu.stddevs()))
+
+
 def _grid_axes(nu: GaussianMeasure, spec: QuadratureSpec) -> list[np.ndarray]:
-    if spec.grid_bounds is not None:
-        bounds = spec.grid_bounds
-        if len(bounds) != nu.dim:
-            raise ValueError(f"{len(bounds)} grid bounds for dimension {nu.dim}")
-    else:
-        sig = nu.stddevs()
-        bounds = [(m - _GRID_SPAN_SIGMAS * s, m + _GRID_SPAN_SIGMAS * s)
-                  for m, s in zip(nu.mean, sig)]
+    bounds = spec.grid_bounds
+    if bounds is None:
+        bounds = default_grid_bounds(nu)
+    elif len(bounds) != nu.dim:
+        raise ValueError(f"{len(bounds)} grid bounds for dimension {nu.dim}")
     return [np.linspace(lo, hi, spec.nodes_per_dim) for lo, hi in bounds]
 
 

@@ -10,20 +10,21 @@ onto the subspace under the current estimate-as-measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .elements import (BayesElement, MeasureLike, inner_product, log_partition,
-                       moment_nodes, subtract)
-from .errors import MeasureInvalid, NotNormalizable, SingularGram, SingularInformation
+from .elements import (BayesElement, MeasureLike, _grid_density, gaussian_element,
+                       inner_product, log_partition, moment_nodes, subtract)
+from .errors import (BayesSpaceError, MeasureInvalid, NotNormalizable, SingularGram,
+                     SingularInformation)
 from .gaussian import (_COND_LIMIT, GaussianBasis, IndefGaussian, gaussian_basis,
                        gaussian_coordinates, gaussian_from_coordinates,
                        project_to_gaussian)
 from .hermite import HermiteBasis1D
 from .hermite import reconstruct as hermite_reconstruct
 from .measures import GaussianMeasure
-from .quadrature import GRID, QuadratureSpec, gh_spec, grid_spec
+from .quadrature import GRID, QuadratureSpec, default_grid_bounds, gh_spec, grid_spec
 
 Coordinates = np.ndarray
 
@@ -131,30 +132,7 @@ def kernel_apply(basis, nu: MeasureLike, p: BayesElement,
 def reporting_grid(measure: GaussianMeasure, points: int = 2001,
                    span: float = 8.0) -> QuadratureSpec:
     """Grid covering measure mean +/- span sigma, used for absolute KL values."""
-    sig = measure.stddevs()
-    bounds = [(float(m - span * s), float(m + span * s))
-              for m, s in zip(measure.mean, sig)]
-    return grid_spec(points, bounds)
-
-
-def _kl_terms(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
-              normalize_target: bool = True):
-    """(E_qhat[phi_p - phi_q], log Z_q, log Z_p or None) on a shared grid."""
-    if spec.kind != GRID or spec.grid_bounds is None:
-        raise ValueError("KL evaluation requires a grid quadrature with bounds")
-    log_zq = log_partition(q, spec)
-    log_zp = log_partition(p, spec) if normalize_target else None
-    points, w = moment_nodes(q, spec)
-    t = np.asarray(p.phi(points), dtype=float) - np.asarray(q.phi(points), dtype=float)
-    # Isolated +inf target values carry no mass where qhat has underflowed.
-    bad = ~np.isfinite(t)
-    if bad.any():
-        keep = ~(bad & (w < 1e-12 * w.max()))
-        if not np.isfinite(t[keep]).all():
-            return float("inf"), log_zq, log_zp
-        t = t[keep]
-        w = w[keep] / w[keep].sum()
-    return float(w @ t), log_zq, log_zp
+    return grid_spec(points, default_grid_bounds(measure, span))
 
 
 def kl(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
@@ -165,26 +143,40 @@ def kl(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
     value is the absolute divergence between the two PDFs; without it, the
     target enters through its raw phi (the form the coordinate Hessian uses).
     """
-    mean_t, log_zq, log_zp = _kl_terms(q, p, spec, normalize_target)
-    value = mean_t - log_zq
+    if spec.kind != GRID or spec.grid_bounds is None:
+        raise ValueError("KL evaluation requires a grid quadrature with bounds")
+    points, phi_q, w, log_zq = _grid_density(q, spec)
+    if normalize_target:
+        _, phi_p, _, log_zp = _grid_density(p, spec)
+    else:
+        phi_p = np.asarray(p.phi(points), dtype=float)
+    t = phi_p - phi_q
+    # Isolated +inf target values carry no mass where qhat has underflowed.
+    bad = ~np.isfinite(t)
+    if bad.any():
+        keep = ~(bad & (w < 1e-12 * w.max()))
+        if not np.isfinite(t[keep]).all():
+            return float("inf")
+        t = t[keep]
+        w = w[keep] / w[keep].sum()
+    value = float(w @ t) - log_zq
     return value + log_zp if normalize_target else value
 
 
 def _qhat_context(alpha, basis, spec):
-    q = reconstruct_in_basis(alpha, basis)
-    log_partition(q, spec)  # normalizability gate (raises NotNormalizable)
-    points, w = moment_nodes(q, spec)
+    """Grid nodes, phi, weights and log Z of the normalized element at
+    ``alpha``, with the basis phi matrix and its means at those nodes."""
+    points, phi_q, w, log_zq = _grid_density(reconstruct_in_basis(alpha, basis), spec)
     phi = _phi_matrix(basis, points)
-    means = phi @ w
-    return q, points, w, phi, means
+    return points, phi_q, w, log_zq, phi, phi @ w
 
 
 def kl_gradient(alpha: Coordinates, basis, p: BayesElement,
                 spec: QuadratureSpec) -> np.ndarray:
     """Gradient of KL over the coordinates: -<b, p (-) q>_q."""
-    q, points, w, phi, means = _qhat_context(alpha, basis, spec)
+    points, phi_q, w, _, phi, means = _qhat_context(alpha, basis, spec)
     centered = phi - means[:, None]
-    t = np.asarray(p.phi(points), dtype=float) - np.asarray(q.phi(points), dtype=float)
+    t = np.asarray(p.phi(points), dtype=float) - phi_q
     t = t - w @ t
     return -(centered @ (w * t))
 
@@ -197,11 +189,11 @@ def kl_hessian(alpha: Coordinates, basis, p: BayesElement, spec: QuadratureSpec,
     with b_mn = exp(ln b_m ln b_n); "fim" assembles (1 - KL) Gram minus the
     measure-derivative term.  Both are exactly symmetric.
     """
-    q, points, w, phi, means = _qhat_context(alpha, basis, spec)
+    points, phi_q, w, log_zq, phi, means = _qhat_context(alpha, basis, spec)
     centered = phi - means[:, None]
     g = (centered * w) @ centered.T
     g = 0.5 * (g + g.T)
-    t = np.asarray(p.phi(points), dtype=float) - np.asarray(q.phi(points), dtype=float)
+    t = np.asarray(p.phi(points), dtype=float) - phi_q
     if form == "explicit":
         tc = t - w @ t
         m1 = (phi * (w * tc)) @ phi.T
@@ -209,7 +201,6 @@ def kl_hessian(alpha: Coordinates, basis, p: BayesElement, spec: QuadratureSpec,
         h = g + m1 - np.outer(v, means) - np.outer(means, v)
         return 0.5 * (h + h.T)
     if form == "fim":
-        log_zq = log_partition(q, spec)
         kl_raw = float(w @ t) - log_zq
         t_norm = t - log_zq  # p (-) q with q's phi normalized
         s = -((centered * (w * t_norm)) @ centered.T)
@@ -227,7 +218,7 @@ def measure_derivative_ip(p: BayesElement, q: BayesElement, basis,
     coefficient is a state function and cannot be moved across the inner
     product.
     """
-    _, points, w, phi, means = _qhat_context(alpha, basis, spec)
+    points, _, w, _, phi, means = _qhat_context(alpha, basis, spec)
     c = -(phi[n] - means[n])
     phi_p = np.asarray(p.phi(points), dtype=float)
     phi_q = np.asarray(q.phi(points), dtype=float)
@@ -298,21 +289,52 @@ class IterateOptions:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration record of an iterative-projection run."""
+    """Per-iteration record of :func:`iterate` and of the ``gvi`` solvers.
 
-    coordinates: List[np.ndarray] = field(default_factory=list)
-    measures: List[GaussianMeasure] = field(default_factory=list)
-    estimates: List[BayesElement] = field(default_factory=list)
-    gaussians: List[IndefGaussian] = field(default_factory=list)
+    Iteration k projects under estimate k-1 (the initial measure for k = 0)
+    and produces estimate k; entry k of each list belongs to iteration k.
+    A :class:`BayesSpaceError` that ends a run carries the trace as ``err.trace``.
+    """
+
+    coordinates: List[np.ndarray] = field(default_factory=list)  # estimate k; gvi: its mean
+    measures: List[GaussianMeasure] = field(default_factory=list)  # estimate k as a measure
+    estimates: List[BayesElement] = field(default_factory=list)  # estimate k (iterate only)
+    gaussians: List[IndefGaussian] = field(default_factory=list)  # estimate k, information form
+    # KL(estimate k || p); gvi: E[phi] minus entropy of estimate k-1 (with record_loss)
     kl: List[float] = field(default_factory=list)
+    # half the squared norm of p - estimate k and of p - estimate k-1 under
+    # estimate k-1 (iterate only)
     divergence: List[float] = field(default_factory=list)
     divergence_before: List[float] = field(default_factory=list)
-    step_norm: List[float] = field(default_factory=list)
-    converged: bool = False
+    step_norm: List[float] = field(default_factory=list)  # norm of iteration k's step
+    converged: bool = False  # the last step norm fell below tol
     iterations: int = 0
-    non_monotone_kl: bool = False
-    aborted: Optional[str] = None
-    notes: List[str] = field(default_factory=list)
+    non_monotone_kl: bool = False  # some kl entry exceeds the one before it
+    aborted: Optional[str] = None  # message of the error that ended the run
+
+
+def _drive(step: Callable, state, tol: float, max_iters: int) -> IterationTrace:
+    """Repeat ``step(state) -> (state, record)``, at most ``max_iters`` times,
+    until the recorded ``step_norm`` falls below ``tol``.  ``record`` maps
+    trace list names to this iteration's entries."""
+    trace = IterationTrace()
+    for _ in range(max_iters):
+        try:
+            state, record = step(state)
+        except BayesSpaceError as err:
+            trace.aborted = str(err)
+            err.trace = trace
+            raise
+        kl_value = record.get("kl")
+        if kl_value is not None and trace.kl and kl_value > trace.kl[-1] + 1e-12:
+            trace.non_monotone_kl = True
+        for name, value in record.items():
+            getattr(trace, name).append(value)
+        trace.iterations += 1
+        if record["step_norm"] < tol:
+            trace.converged = True
+            break
+    return trace
 
 
 def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasure,
@@ -322,75 +344,57 @@ def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasu
     Each step projects p under the current estimate-as-measure (re-building
     the basis so it stays orthonormal), normalizes, and promotes the
     estimate's Gaussian part to the next measure.  Stops when the coordinate
-    step falls below tolerance.  Raises :class:`MeasureInvalid` (trace
-    attached) when that Gaussian part stops being positive-definite.
+    step falls below tolerance.  Raises :class:`MeasureInvalid` when that
+    Gaussian part stops being positive-definite and :class:`NotNormalizable`
+    when the estimate or the target has no density on the KL grid.
     """
     opts = opts or IterateOptions()
+    quad = opts.quad
     kl_grid = opts.kl_grid or reporting_grid(init_measure)
-    trace = IterationTrace()
-    log_zp = None  # the target's log-partition on kl_grid, computed once
-    measure = init_measure
-    from .elements import gaussian_element
-    current = gaussian_element(measure.mean, measure.covariance)
 
-    for _ in range(opts.max_iters):
+    def step(state):
+        # log_zp is the target's log-partition on kl_grid, computed once
+        measure, current, log_zp = state
         basis = subspace.basis_for(measure)
-        g = gram(basis, measure, opts.quad)
-        residual = basis_projections(basis, subtract(p, current), measure, opts.quad)
+        g = gram(basis, measure, quad)
+        residual = basis_projections(basis, subtract(p, current), measure, quad)
         if opts.newton:
             grid = _newton_grid(measure, opts)
-            alpha_self = _solve_gram(g, basis_projections(basis, current, measure, opts.quad))
+            alpha_self = _solve_gram(g, basis_projections(basis, current, measure, quad))
             h = kl_hessian(alpha_self, basis, p, grid)
             alpha = alpha_self + _solve_gram(h, residual)
             delta = alpha - alpha_self
         else:
-            alpha = subspace.coordinates(p, measure, opts.quad)
+            alpha = subspace.coordinates(p, measure, quad)
             delta = _solve_gram(g, residual)
         try:
-            estimate, ig = subspace.estimate(alpha, measure, opts.quad)
+            estimate, ig = subspace.estimate(alpha, measure, quad)
         except SingularInformation as exc:
-            trace.aborted = f"estimate reconstruction failed: {exc}"
-            err = MeasureInvalid(trace.aborted)
-            err.trace = trace
-            raise err from exc
+            raise MeasureInvalid(f"estimate reconstruction failed: {exc}") from exc
         if not ig.spd:
-            trace.aborted = "estimate's Gaussian part is not positive-definite"
-            err = MeasureInvalid(trace.aborted)
-            err.trace = trace
-            raise err
+            raise MeasureInvalid("estimate's Gaussian part is not positive-definite")
         try:
             kl_value = kl(estimate, p, kl_grid, normalize_target=False)
             if log_zp is None:
                 log_zp = log_partition(p, kl_grid)
-            kl_value = kl_value + log_zp
         except NotNormalizable as exc:
-            trace.aborted = f"estimate not normalizable: {exc}"
-            err = NotNormalizable(trace.aborted)
-            err.trace = trace
-            raise err
+            raise NotNormalizable(f"estimate not normalizable: {exc}") from None
+        before, after = subtract(p, current), subtract(p, estimate)
+        next_measure = ig.to_measure()
+        record = {
+            "coordinates": np.asarray(alpha, dtype=float),
+            "measures": next_measure,
+            "estimates": estimate,
+            "gaussians": ig,
+            "step_norm": float(np.linalg.norm(delta)),
+            "divergence_before": 0.5 * inner_product(before, before, measure, quad),
+            "divergence": 0.5 * inner_product(after, after, measure, quad),
+            "kl": kl_value + log_zp,
+        }
+        return (next_measure, estimate, log_zp), record
 
-        trace.coordinates.append(np.asarray(alpha, dtype=float))
-        trace.measures.append(measure)
-        trace.estimates.append(estimate)
-        trace.gaussians.append(ig)
-        trace.step_norm.append(float(np.linalg.norm(delta)))
-        trace.divergence_before.append(
-            0.5 * inner_product(subtract(p, current), subtract(p, current),
-                                measure, opts.quad))
-        diff = subtract(p, estimate)
-        trace.divergence.append(
-            0.5 * inner_product(diff, diff, measure, opts.quad))
-        if trace.kl and kl_value > trace.kl[-1] + 1e-12:
-            trace.non_monotone_kl = True
-        trace.kl.append(kl_value)
-        trace.iterations += 1
-
-        if trace.step_norm[-1] < opts.tol:
-            trace.converged = True
-            break
-        measure = ig.to_measure()
-        current = estimate
-    return trace
+    current = gaussian_element(init_measure.mean, init_measure.covariance)
+    return _drive(step, (init_measure, current, None), opts.tol, opts.max_iters)
 
 
 def _newton_grid(measure: GaussianMeasure, opts: IterateOptions) -> QuadratureSpec:

@@ -6,8 +6,8 @@ import pytest
 from bayespace.elements import (BayesElement, add, constant_element, divergence,
                                 element_grad, element_hess, equivalent,
                                 gaussian_element, information, inner_product,
-                                log_partition, normalize, scale, stochastic_derivative,
-                                subtract)
+                                log_partition, moment_nodes, normalize, scale,
+                                stochastic_derivative, subtract)
 from bayespace.elements import _grid_boundary_mask, _grid_edge
 from bayespace.errors import DimensionMismatch, NotNormalizable
 from bayespace.hermite import HermiteBasis1D, basis_element
@@ -170,6 +170,13 @@ class TestNormalize:
         with pytest.raises(NotNormalizable):
             log_partition(gaussian_element([1000.99], [[1e-6]]), spec)
         assert np.isfinite(log_partition(gaussian_element([1000.5], [[1e-4]]), spec))
+
+    def test_moment_nodes_reject_an_element_that_does_not_decay(self):
+        # a constant element keeps its full density out to the grid's edge
+        with pytest.raises(NotNormalizable):
+            moment_nodes(constant_element(), GRID8)
+        _, w = moment_nodes(gaussian_element([0.0], [[1.0]]), GRID8)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInnerProduct:

@@ -313,6 +313,71 @@ class TestCLI:
         with pytest.raises(ConfigError, match="mu_p"):
             ExperimentConfig(mu_p=float("nan")).validate()
 
+    # Values that pass validate() but break a variance, a factor or a grid.
+    @pytest.mark.parametrize("command, line, expected", [
+        ("stereo-project", "x_true = 0", 2),
+        ("stereo-iterate", "x_true = 0", 2),
+        ("stereo-project", "s2_p = 1e-300", 2),
+        ("stereo-iterate", "s2_p = 1e-300", 2),
+        ("stereo-project", "mu_p = 1e300", 2),
+        ("hermite-sweep", "mu_p = 1e300", 2),
+        ("stereo-project", "mu_p = -20", 2),
+        ("hermite-sweep", "mu_p = -20", 2),
+        ("gvi-demo", "prior_sigma = 1e300", 2),
+        ("gvi-demo", "odom_sigma = 1e300", 2),
+        ("gvi-demo", "range_sigma = 1e300", 2),
+        ("gvi-demo", "prior_sigma = 1e-300", 2),
+        ("gvi-demo", "odom_sigma = 1e-300", 2),
+        ("gvi-demo", "range_sigma = 1e-300", 2),
+        ("gvi-demo", "range_offset = 1e300", 2),
+        ("stereo-iterate", "s2_r = 5e-324", 3),
+        ("hermite-iterate", "s2_r = 5e-324", 3),
+    ])
+    def test_config_values_that_break_the_model_exit_cleanly(self, tmp_path, capsys,
+                                                              command, line, expected):
+        cfg_file = tmp_path / "edge.cfg"
+        cfg_file.write_text(line + "\n")
+        with np.errstate(all="ignore"):
+            code = main([command, "--out", str(tmp_path / "out"), "--max-iters", "5",
+                         "--config", str(cfg_file)])
+        assert code == expected
+        captured = capsys.readouterr()
+        if expected == 2:
+            assert "configuration error" in captured.err
+        else:
+            assert json.loads(captured.out)["error"] == "EvaluationFailure"
+
+
+_FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)
+               if "float" in str(f.type)]
+_EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e154, -1e154,
+                   1e300, -1e300]
+_ARGV_TOKENS = ["--seed", "-1", "--nodes", "abc", "--tol", "nan", "--basis", "7", "--z",
+                "1e309", "--bogus", "", "--max-iters", "0", "3", "--out", "--help"]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["stereo-project", "stereo-iterate", "hermite-sweep",
+                                "hermite-iterate", "gvi-demo"]),
+       values=st.dictionaries(st.sampled_from(_FLOAT_KEYS),
+                              st.sampled_from(_EXTREME_FLOATS) | st.floats(-100.0, 100.0),
+                              min_size=1, max_size=2),
+       extra=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=3))
+def test_cli_exits_only_with_documented_codes(tmp_path, capsys, command, values, extra):
+    """Whatever a config file or argv holds, bh exits 0, 2 or 3, never with a traceback."""
+    cfg_file = tmp_path / "fuzz.cfg"
+    cfg_file.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    argv = [command, "--out", str(tmp_path / "out"), "--max-iters", "5",
+            "--config", str(cfg_file), *extra]
+    try:
+        with np.errstate(all="ignore"):
+            code = main(argv)
+    except SystemExit as exit_:  # argparse rejects the argv, or --help
+        code = exit_.code
+    capsys.readouterr()
+    assert code in (0, 2, 3)
+
 
 # Values where repr changes form (exponent switch points and their
 # neighbours), signed zeros, subnormals and the non-finite values.

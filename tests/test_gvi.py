@@ -422,6 +422,22 @@ class TestChainSolves:
         assert trace.aborted is not None
         assert trace.iterations == 0
 
+    @pytest.mark.parametrize("solve", [gvi_sparse_solve, gvi_dense_solve])
+    def test_evaluation_failure_mid_run_carries_the_trace(self, solve):
+        # With f b = 0 the stereo factor adds nothing away from its pole, so
+        # the one-node rule's first step lands exactly on the prior mean 0
+        # and the second iteration evaluates the factor at x = 0.
+        graph = FactorGraph(1, (prior_factor(0, 0.0, 1.0),
+                                stereo_factor(0, 1.0, 0.0, 0.1, 0.09)))
+        init = GaussianState(np.array([5.0]), np.eye(1), fill_pattern(graph))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationFailure, match=r"stereo\(0,\)") as err:
+                solve(graph, init, GviOptions(quad=gh_spec(1)))
+        trace = err.value.trace
+        assert trace.iterations == 1 and trace.coordinates == [np.zeros(1)]
+        assert trace.aborted == str(err.value)
+        assert len(trace.kl) == len(trace.measures) == 1
+
 
 def mixed_kind_graph(rng, n_vars: int = 12, n_range: int = 400) -> FactorGraph:
     """Every built-in kind plus a custom one, interleaved, with more range

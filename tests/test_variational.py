@@ -315,6 +315,24 @@ class TestIterate:
         # The same bits as the absolute KL computed from scratch.
         assert trace.kl == [kl(q, stereo.posterior, grid) for q in trace.estimates]
 
+    def test_kl_evaluates_the_estimate_once(self, stereo):
+        q = gaussian_element([21.0], [[4.0]])
+        calls = []
+        counted = BayesElement(1, lambda x: calls.append(len(x)) or q.phi(x))
+        grid = reporting_grid(stereo.prior_measure)
+        value = kl(counted, stereo.posterior, grid)
+        assert calls == [grid.nodes_per_dim]
+        assert value == kl(q, stereo.posterior, grid)
+
+    def test_measures_hold_each_estimate_as_a_measure(self, stereo):
+        trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
+                        IterateOptions(tol=0.0, max_iters=3,
+                                       kl_grid=reporting_grid(stereo.prior_measure)))
+        assert len(trace.measures) == trace.iterations == 3
+        for measure, ig in zip(trace.measures, trace.gaussians):
+            assert np.array_equal(measure.mean, ig.mean_like)
+            assert np.array_equal(measure.covariance, ig.covariance())
+
     def test_non_normalizable_target_raises_with_trace(self):
         # A Cauchy-like target: its Gaussian projection is fine, but it does
         # not decay on the KL grid, so the first KL evaluation raises.

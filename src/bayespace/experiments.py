@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elements import BayesElement, add, gaussian_element, information, normalize, subtract
+from .elements import (BayesElement, _grid_density, add, gaussian_element, information,
+                       subtract)
 from .errors import ConfigError, NotNormalizable
 from .gaussian import project_to_gaussian
 from .graphio import dumps_graph, write_new_text
@@ -230,9 +231,8 @@ def make_stereo(cfg: ExperimentConfig) -> StereoProblem:
 
 
 def _density_column(elem: BayesElement, spec: QuadratureSpec) -> np.ndarray:
-    points = np.linspace(*spec.grid_bounds[0], spec.nodes_per_dim)[:, None]
-    _, dens = normalize(elem, spec)
-    return dens(points)
+    _, phi, _, log_z = _grid_density(elem, spec)
+    return np.exp(-phi - log_z)
 
 
 def run_stereo_project(cfg: ExperimentConfig) -> Dict:

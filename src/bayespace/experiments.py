@@ -169,6 +169,17 @@ def _write_summary(path: Path, payload: Dict) -> None:
     write_new_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """Validate the config and create its output directory."""
+    cfg.validate()
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create the output directory: {err}") from None
+    return out
+
+
 def _config_echo(cfg: ExperimentConfig) -> Dict:
     return {k: v for k, v in dataclasses.asdict(cfg).items()}
 
@@ -237,9 +248,7 @@ def _density_column(elem: BayesElement, spec: QuadratureSpec) -> np.ndarray:
 
 def run_stereo_project(cfg: ExperimentConfig) -> Dict:
     """Project the posterior onto the Gaussian subspace under two measures."""
-    cfg.validate()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     problem = make_stereo(cfg)
     quad = gh_spec(cfg.nodes or 20)
     grid = problem.density_grid
@@ -284,9 +293,7 @@ def _run_stereo_iteration(problem: StereoProblem, subspace, cfg: ExperimentConfi
 
 def run_stereo_iterate(cfg: ExperimentConfig) -> Dict:
     """Iterative projection onto the Gaussian subspace, starting at the prior."""
-    cfg.validate()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     problem = make_stereo(cfg)
     trace = _run_stereo_iteration(problem, GaussianSubspace(), cfg)
 
@@ -324,9 +331,7 @@ def run_hermite_sweep(cfg: ExperimentConfig) -> Dict:
     PDFs (odd cutoffs typically diverge in a tail and are reported as
     non-normalizable instead).
     """
-    cfg.validate()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     problem = make_stereo(cfg)
     sweep_quad = problem.sweep_grid()
     grid = problem.density_grid
@@ -370,9 +375,7 @@ def run_hermite_iterate(cfg: ExperimentConfig) -> Dict:
     runs the identical algorithm path as the stereo iteration; larger bases
     project the running estimate back to a Gaussian for the measure update.
     """
-    cfg.validate()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     problem = make_stereo(cfg)
     order = cfg.basis or 4
     trace2 = _run_stereo_iteration(problem, GaussianSubspace(), cfg)
@@ -469,9 +472,7 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
     mean).  With ``trials`` > 1, repeats the simulation for Monte-Carlo
     consistency statistics; files always describe trial 0.
     """
-    cfg.validate()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     started = time.perf_counter()
 
     n = cfg.n_poses + cfg.n_landmarks

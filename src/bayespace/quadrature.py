@@ -100,9 +100,9 @@ def _check_budget(n: int, dim: int):
         raise ValueError(f"{n}^{dim} tensor nodes exceed the {_MAX_TOTAL_NODES} budget")
 
 
-def default_grid_bounds(nu: GaussianMeasure, span: float = _GRID_SPAN_SIGMAS,
-                        ) -> Tuple[Tuple[float, float], ...]:
-    """Per-dimension (mean - span sigma, mean + span sigma): a grid's default bounds."""
+def default_grid_bounds(nu: GaussianMeasure) -> Tuple[Tuple[float, float], ...]:
+    """A grid's default bounds: mean +/- 8 sigma in each dimension."""
+    span = _GRID_SPAN_SIGMAS
     return tuple((float(m - span * s), float(m + span * s))
                  for m, s in zip(nu.mean, nu.stddevs()))
 

@@ -129,10 +129,10 @@ def kernel_apply(basis, nu: MeasureLike, p: BayesElement,
 # KL divergence and its derivatives in coordinates
 # ---------------------------------------------------------------------------
 
-def reporting_grid(measure: GaussianMeasure, points: int = 2001,
-                   span: float = 8.0) -> QuadratureSpec:
-    """Grid covering measure mean +/- span sigma, used for absolute KL values."""
-    return grid_spec(points, default_grid_bounds(measure, span))
+def reporting_grid(measure: GaussianMeasure, points: int = 2001) -> QuadratureSpec:
+    """Grid over the measure's default bounds (mean +/- 8 sigma), used for
+    absolute KL values."""
+    return grid_spec(points, default_grid_bounds(measure))
 
 
 def kl(q: BayesElement, p: BayesElement, spec: QuadratureSpec,

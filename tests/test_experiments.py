@@ -313,6 +313,14 @@ class TestCLI:
         with pytest.raises(ConfigError, match="mu_p"):
             ExperimentConfig(mu_p=float("nan")).validate()
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_path_through_a_file_exit_code(self, tmp_path, capsys, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["gvi-demo", "--out", str(blocker / below), "--max-iters", "2"])
+        assert code == 2
+        assert "output directory" in capsys.readouterr().err
+
     # Values that pass validate() but break a variance, a factor or a grid.
     @pytest.mark.parametrize("command, line, expected", [
         ("stereo-project", "x_true = 0", 2),
@@ -364,8 +372,10 @@ _ARGV_TOKENS = ["--seed", "-1", "--nodes", "abc", "--tol", "nan", "--basis", "7"
                               st.sampled_from(_EXTREME_FLOATS) | st.floats(-100.0, 100.0),
                               min_size=1, max_size=2),
        extra=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=3))
-def test_cli_exits_only_with_documented_codes(tmp_path, capsys, command, values, extra):
+def test_cli_exits_only_with_documented_codes(tmp_path, capsys, monkeypatch, command,
+                                              values, extra):
     """Whatever a config file or argv holds, bh exits 0, 2 or 3, never with a traceback."""
+    monkeypatch.chdir(tmp_path)  # a relative --out from the argv tokens lands here
     cfg_file = tmp_path / "fuzz.cfg"
     cfg_file.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
     argv = [command, "--out", str(tmp_path / "out"), "--max-iters", "5",

@@ -346,7 +346,8 @@ def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasu
     estimate's Gaussian part to the next measure.  Stops when the coordinate
     step falls below tolerance.  Raises :class:`MeasureInvalid` when that
     Gaussian part stops being positive-definite and :class:`NotNormalizable`
-    when the estimate or the target has no density on the KL grid.
+    when the estimate or the target has no density on the KL grid, each with
+    the partial trace as ``err.trace``.
     """
     opts = opts or IterateOptions()
     quad = opts.quad

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DimensionMismatch, EvaluationFailure, NotNormalizable
 from .measures import GaussianMeasure
-from .quadrature import (GRID, QuadratureSpec, default_grid_bounds, grid_spec,
-                         measure_nodes, tensor_rule, trapezoid_points)
+from .quadrature import (GRID, QuadratureSpec, bounded_grid, measure_nodes, tensor_rule,
+                         trapezoid_points)
 
 _FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)      # first derivatives
 _FD_STEP2 = np.finfo(float).eps ** 0.25            # direct second differences
@@ -61,7 +61,12 @@ def gaussian_element(mean, covariance) -> BayesElement:
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(covariance, dtype=float))
     info = np.linalg.inv(cov)
-    info = 0.5 * (info + info.T)
+    return _quadratic_element(mean, 0.5 * (info + info.T))
+
+
+def _quadratic_element(mean: np.ndarray, info: np.ndarray) -> BayesElement:
+    """Element with phi(x) = 0.5 (x-mean)^T info (x-mean) and its exact
+    derivatives; ``info`` may be indefinite."""
     dim = mean.size
 
     def phi(x):
@@ -75,6 +80,12 @@ def gaussian_element(mean, covariance) -> BayesElement:
         return np.broadcast_to(info, (np.asarray(x).shape[0], dim, dim)).copy()
 
     return BayesElement(dim=dim, phi=phi, grad=grad, hess=hess)
+
+
+def _row_elements(phi_matrix: Callable[[np.ndarray], np.ndarray], dim: int,
+                  count: int) -> List[BayesElement]:
+    """One element per row of a basis matrix ``phi_matrix(x)`` of shape (count, m)."""
+    return [BayesElement(dim, lambda x, k=k: phi_matrix(x)[k]) for k in range(count)]
 
 
 def _check_dims(p: BayesElement, q: BayesElement):
@@ -217,10 +228,9 @@ def _grid_density(p: BayesElement, spec: QuadratureSpec,
     edge or its integral is not finite.  A grid without bounds takes the
     default bounds of ``measure``.
     """
-    if spec.grid_bounds is None:
-        if measure is None:
-            raise ValueError("grid quadrature needs explicit bounds or a measure hint")
-        spec = grid_spec(spec.nodes_per_dim, default_grid_bounds(measure))
+    if spec.grid_bounds is None and measure is None:
+        raise ValueError("grid quadrature needs explicit bounds or a measure hint")
+    spec = bounded_grid(spec, measure)
     points, dx = trapezoid_points(spec, p.dim)
     phi = np.asarray(p.phi(points), dtype=float)
     if np.isnan(phi).any():

@@ -14,18 +14,14 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .elements import BayesElement, element_grad, element_hess
+from .elements import (BayesElement, _quadratic_element, _row_elements, element_grad,
+                       element_hess, inner_product)
 from .errors import EvaluationFailure, SingularInformation
 from .matrixops import DuplicationOps, build_duplication, unvech, vec, vech, vech_indices
 from .measures import GaussianMeasure, cholesky_or_raise
 from .quadrature import QuadratureSpec, measure_nodes
 
 _COND_LIMIT = 1e12
-
-
-def _standardize(measure: GaussianMeasure, x: np.ndarray) -> np.ndarray:
-    d = np.atleast_2d(np.asarray(x, dtype=float)) - measure.mean
-    return np.linalg.solve(measure.cholesky, d.T).T
 
 
 @dataclass(frozen=True)
@@ -39,20 +35,14 @@ class GaussianBasis:
     def __post_init__(self):
         n = self.measure.dim
         object.__setattr__(self, "ops", build_duplication(n))
-        elems = []
-        for i in range(n):
-            elems.append(BayesElement(
-                dim=n,
-                phi=lambda x, i=i, m=self.measure: _standardize(m, x)[:, i]))
-        rows, cols = vech_indices(n)
-        w = self.ops.sqrt_half_dtd
-        for k in range(n * (n + 1) // 2):
-            def phi(x, k=k, m=self.measure, rows=rows, cols=cols, w=w):
-                xi = _standardize(m, x)
-                quad = xi[:, rows] * xi[:, cols]
-                return quad @ w[k]
-            elems.append(BayesElement(dim=n, phi=phi))
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", _row_elements(self.phi_matrix, n, len(self)))
+
+    def phi_matrix(self, x: np.ndarray) -> np.ndarray:
+        """The basis at the states ``x`` as a (K, m) matrix: the N standardized
+        coordinates, then sqrt(0.5 D^T D) times their vech products."""
+        xi = self.measure.standardize(x)
+        rows, cols = vech_indices(self.measure.dim)
+        return np.vstack([xi.T, self.ops.sqrt_half_dtd @ (xi[:, rows] * xi[:, cols]).T])
 
     def __len__(self) -> int:
         n = self.measure.dim
@@ -81,18 +71,7 @@ class IndefGaussian:
         return np.linalg.inv(self.info)
 
     def to_element(self) -> BayesElement:
-        mean, info, dim = self.mean_like, self.info, self.dim
-
-        def phi(x):
-            d = np.asarray(x, dtype=float) - mean
-            return 0.5 * np.einsum("...i,ij,...j->...", d, info, d)
-
-        return BayesElement(
-            dim=dim,
-            phi=phi,
-            grad=lambda x: (np.asarray(x, dtype=float) - mean) @ info,
-            hess=lambda x: np.broadcast_to(info, (np.asarray(x).shape[0], dim, dim)).copy(),
-        )
+        return _quadratic_element(self.mean_like, self.info)
 
     def to_measure(self) -> GaussianMeasure:
         return GaussianMeasure(self.mean_like, self.covariance())
@@ -138,8 +117,6 @@ def gaussian_coordinates(p: BayesElement, measure: GaussianMeasure,
 def gaussian_coordinates_direct(p: BayesElement, measure: GaussianMeasure,
                                 spec: QuadratureSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Same coordinates by explicit inner products against the basis functions."""
-    from .elements import inner_product  # deferred to keep import graph flat
-
     basis = gaussian_basis(measure)
     n = measure.dim
     coords = np.array([inner_product(b, p, measure, spec) for b in basis.elements])

@@ -104,11 +104,15 @@ class FactorGraph:
                 out = out + f.phi(x[:, f.indices])
             return out
 
+        # Entry-column adds: a factor's indices are distinct, so each entry
+        # takes one addition per factor, as a fancy-indexed add would give.
         def grad(x):
             x = np.asarray(x, dtype=float)
             out = np.zeros_like(x)
             for f in factors:
-                out[:, f.indices] += element_grad(f.as_element(), x[:, f.indices])
+                gk = element_grad(f.as_element(), x[:, f.indices])
+                for a, i in enumerate(f.indices):
+                    out[:, i] += gk[:, a]
             return out
 
         def hess(x):
@@ -116,7 +120,9 @@ class FactorGraph:
             out = np.zeros((x.shape[0], n, n))
             for f in factors:
                 hk = element_hess(f.as_element(), x[:, f.indices])
-                out[np.ix_(np.arange(x.shape[0]), f.indices, f.indices)] += hk
+                for a, i in enumerate(f.indices):
+                    for b, j in enumerate(f.indices):
+                        out[:, i, j] += hk[:, a, b]
             return out
 
         return BayesElement(dim=n, phi=phi, grad=grad, hess=hess)

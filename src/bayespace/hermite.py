@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .elements import BayesElement, element_grad, element_hess
+from .elements import BayesElement, _row_elements, element_grad, element_hess
 from .measures import GaussianMeasure
 from .quadrature import QuadratureSpec, measure_nodes
 
@@ -55,24 +55,11 @@ def hermite_design(max_n: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _element_1d(n: int, mean: float, sigma: float) -> BayesElement:
-    root = _sqrt_factorial(n)
-
-    def phi(x):
-        u = (np.asarray(x, dtype=float)[:, 0] - mean) / sigma
-        return hermite_poly(n, u) / root
-
-    def grad(x):
-        u = (np.asarray(x, dtype=float)[:, 0] - mean) / sigma
-        return (n * hermite_poly(n - 1, u) / (root * sigma))[:, None]
-
-    def hess(x):
-        u = (np.asarray(x, dtype=float)[:, 0] - mean) / sigma
-        val = n * (n - 1) * hermite_poly(n - 2, u) / (root * sigma**2) if n >= 2 \
-            else np.zeros(u.size)
-        return val[:, None, None]
-
-    return BayesElement(dim=1, phi=phi, grad=grad, hess=hess)
+def _element_1d(basis: "HermiteBasis1D", n: int) -> BayesElement:
+    """Row n of the basis matrix (1-based), with the analytic derivatives of
+    the member whose coordinates are the n-th unit vector."""
+    member = _series(np.eye(basis.order)[n - 1] / basis.roots, basis)
+    return BayesElement(1, lambda x: basis.phi_matrix(x)[n - 1], member.grad, member.hess)
 
 
 @dataclass(frozen=True)
@@ -82,16 +69,29 @@ class HermiteBasis1D:
     order: int
     measure: GaussianMeasure
     elements: List[BayesElement] = field(init=False, repr=False)
+    mean: float = field(init=False, repr=False)
+    sigma: float = field(init=False, repr=False)
+    roots: np.ndarray = field(init=False, repr=False)  # sqrt(n!) for n = 1..order
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("basis needs at least one function")
         if self.measure.dim != 1:
             raise ValueError("HermiteBasis1D requires a one-dimensional measure")
-        mean = float(self.measure.mean[0])
-        sigma = float(np.sqrt(self.measure.covariance[0, 0]))
-        elems = [_element_1d(n, mean, sigma) for n in range(1, self.order + 1)]
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "mean", float(self.measure.mean[0]))
+        object.__setattr__(self, "sigma", float(np.sqrt(self.measure.covariance[0, 0])))
+        object.__setattr__(self, "roots", np.array(
+            [_sqrt_factorial(n) for n in range(1, self.order + 1)]))
+        object.__setattr__(self, "elements",
+                           [_element_1d(self, n) for n in range(1, self.order + 1)])
+
+    def unit(self, x: np.ndarray) -> np.ndarray:
+        """Standardized states u = (x - mean) / sigma of a batch ``x`` (m, 1)."""
+        return (np.asarray(x, dtype=float)[:, 0] - self.mean) / self.sigma
+
+    def phi_matrix(self, x: np.ndarray) -> np.ndarray:
+        """The basis at the states ``x`` as an (order, m) matrix: H_n(u)/sqrt(n!)."""
+        return hermite_design(self.order, self.unit(x))[1:] / self.roots[:, None]
 
     def __len__(self) -> int:
         return self.order
@@ -113,14 +113,11 @@ def coordinates(p: BayesElement, basis: HermiteBasis1D, spec: QuadratureSpec) ->
     if p.dim != 1:
         raise ValueError("Hermite coordinates are one-dimensional here")
     points, w = measure_nodes(basis.measure, spec)
-    u = (points[:, 0] - basis.measure.mean[0]) / np.sqrt(basis.measure.covariance[0, 0])
-    design = hermite_design(basis.order, u)[1:]
-    roots = np.array([_sqrt_factorial(n) for n in range(1, basis.order + 1)])
     phi = np.asarray(p.phi(points), dtype=float)
     # centering phi makes the covariance exact under the discrete rule even
     # if the quadrature means of H_n are not identically zero
     phi = phi - w @ phi
-    return (design @ (w * phi)) / roots
+    return basis.phi_matrix(points) @ (w * phi)
 
 
 def coordinates_via_derivatives(p: BayesElement, basis: HermiteBasis1D,
@@ -133,24 +130,24 @@ def coordinates_via_derivatives(p: BayesElement, basis: HermiteBasis1D,
     if basis.order > 4:
         raise ValueError("derivative route supported for orders up to 4")
     points, w = measure_nodes(basis.measure, spec)
-    sigma = float(np.sqrt(basis.measure.covariance[0, 0]))
+    sigma, roots = basis.sigma, basis.roots
     out = np.empty(basis.order)
     g = element_grad(p, points)[:, 0]
     out[0] = sigma * (w @ g)
     if basis.order >= 2:
         h = element_hess(p, points)[:, 0, 0]
-        out[1] = sigma**2 / _sqrt_factorial(2) * (w @ h)
+        out[1] = sigma**2 / roots[1] * (w @ h)
     if basis.order >= 3:
         step = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(points))
         d3 = (element_hess(p, points + step)[:, 0, 0]
               - element_hess(p, points - step)[:, 0, 0]) / (2 * step[:, 0])
-        out[2] = sigma**3 / _sqrt_factorial(3) * (w @ d3)
+        out[2] = sigma**3 / roots[2] * (w @ d3)
     if basis.order >= 4:
         step = np.finfo(float).eps ** 0.25 * np.maximum(1.0, np.abs(points))
         h0 = element_hess(p, points)[:, 0, 0]
         d4 = (element_hess(p, points + step)[:, 0, 0] - 2 * h0
               + element_hess(p, points - step)[:, 0, 0]) / step[:, 0]**2
-        out[3] = sigma**4 / _sqrt_factorial(4) * (w @ d4)
+        out[3] = sigma**4 / roots[3] * (w @ d4)
     return out
 
 
@@ -159,24 +156,24 @@ def reconstruct(alpha: Sequence[float], basis: HermiteBasis1D) -> BayesElement:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.size != basis.order:
         raise ValueError(f"{alpha.size} coordinates for an order-{basis.order} basis")
-    mean = float(basis.measure.mean[0])
-    sigma = float(np.sqrt(basis.measure.covariance[0, 0]))
-    roots = np.array([_sqrt_factorial(n) for n in range(1, basis.order + 1)])
-    coeff = alpha / roots
+    return _series(alpha / basis.roots, basis)
+
+
+def _series(coeff: np.ndarray, basis: HermiteBasis1D) -> BayesElement:
+    """phi = sum coeff_n H_n(u) over n = 1..order, with analytic derivatives."""
     orders = np.arange(1, basis.order + 1)
+    sigma = basis.sigma
 
     def phi(x):
-        u = (np.asarray(x, dtype=float)[:, 0] - mean) / sigma
-        return coeff @ hermite_design(basis.order, u)[1:]
+        return coeff @ hermite_design(basis.order, basis.unit(x))[1:]
 
     def grad(x):
-        u = (np.asarray(x, dtype=float)[:, 0] - mean) / sigma
-        design = hermite_design(basis.order, u)
+        design = hermite_design(basis.order, basis.unit(x))
         val = (coeff * orders) @ design[:-1] / sigma
         return val[:, None]
 
     def hess(x):
-        u = (np.asarray(x, dtype=float)[:, 0] - mean) / sigma
+        u = basis.unit(x)
         if basis.order < 2:
             return np.zeros((u.size, 1, 1))
         design = hermite_design(basis.order - 2, u)
@@ -187,24 +184,6 @@ def reconstruct(alpha: Sequence[float], basis: HermiteBasis1D) -> BayesElement:
     return BayesElement(dim=1, phi=phi, grad=grad, hess=hess)
 
 
-def _element_nd(orders: Sequence[int], measure: GaussianMeasure) -> BayesElement:
-    orders = tuple(orders)
-    root = math.prod(_sqrt_factorial(n) for n in orders)
-    mean = measure.mean
-    chol = measure.cholesky
-
-    def phi(x):
-        d = np.asarray(x, dtype=float) - mean
-        xi = np.linalg.solve(chol, d.T).T
-        out = np.ones(xi.shape[0])
-        for k, n in enumerate(orders):
-            if n:
-                out = out * hermite_poly(n, xi[:, k])
-        return out / root
-
-    return BayesElement(dim=measure.dim, phi=phi)
-
-
 @dataclass(frozen=True)
 class HermiteBasisND:
     """Tensor Hermite basis on R^N, Kronecker-ordered, all-H_0 term removed."""
@@ -213,6 +192,8 @@ class HermiteBasisND:
     measure: GaussianMeasure
     index_sets: List[tuple] = field(init=False, repr=False)
     elements: List[BayesElement] = field(init=False, repr=False)
+    _design_rows: np.ndarray = field(init=False, repr=False)  # (N, K) index_sets
+    _roots: np.ndarray = field(init=False, repr=False)  # prod of sqrt(n!) per set
 
     def __post_init__(self):
         n = self.measure.dim
@@ -221,8 +202,19 @@ class HermiteBasisND:
                 f"multivariate basis capped at order {_MAX_ND_ORDER}, dim {_MAX_ND_DIM}")
         combos = [c for c in product(range(self.order + 1), repeat=n) if any(c)]
         object.__setattr__(self, "index_sets", combos)
-        object.__setattr__(self, "elements",
-                           [_element_nd(c, self.measure) for c in combos])
+        object.__setattr__(self, "_design_rows", np.array(combos).T)
+        object.__setattr__(self, "_roots", np.array(
+            [math.prod(_sqrt_factorial(k) for k in c) for c in combos]))
+        object.__setattr__(self, "elements", _row_elements(self.phi_matrix, n, len(combos)))
+
+    def phi_matrix(self, x: np.ndarray) -> np.ndarray:
+        """The basis at the states ``x`` as a (K, m) matrix, rows in
+        ``index_sets`` order: products of per-dimension Hermite designs."""
+        xi = self.measure.standardize(x)
+        out = np.ones((len(self.index_sets), xi.shape[0]))
+        for k, rows in enumerate(self._design_rows):
+            out *= hermite_design(self.order, xi[:, k])[rows]
+        return out / self._roots[:, None]
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -13,11 +13,13 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).reshape(-1, order="F")
 
 
+@functools.lru_cache(maxsize=None)
 def vech_indices(n: int):
-    """(rows, cols) of the lower triangle in vech (column-major) order."""
-    rows, cols = np.tril_indices(n)
-    order = np.lexsort((rows, cols))
-    return rows[order], cols[order]
+    """(rows, cols) of the lower triangle in vech (column-major) order (read-only)."""
+    cols, rows = np.triu_indices(n)  # the upper triangle row by row, transposed
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def vech(a: np.ndarray) -> np.ndarray:

@@ -60,6 +60,11 @@ class GaussianMeasure:
     def dim(self) -> int:
         return self.mean.size
 
+    def standardize(self, x: np.ndarray) -> np.ndarray:
+        """Standardized states L^{-1} (x - mean) of a batch ``x`` (m, N)."""
+        d = np.atleast_2d(np.asarray(x, dtype=float)) - self.mean
+        return np.linalg.solve(self.cholesky, d.T).T
+
     def stddevs(self) -> np.ndarray:
         """Per-dimension marginal standard deviations."""
         return np.sqrt(np.diag(self.covariance))

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EvaluationFailure
+from .errors import EvaluationFailure, NotNormalizable
 from .measures import GaussianMeasure
 
 GAUSS_HERMITE = "gauss-hermite"
@@ -107,13 +107,11 @@ def default_grid_bounds(nu: GaussianMeasure) -> Tuple[Tuple[float, float], ...]:
                  for m, s in zip(nu.mean, nu.stddevs()))
 
 
-def _grid_axes(nu: GaussianMeasure, spec: QuadratureSpec) -> list[np.ndarray]:
-    bounds = spec.grid_bounds
-    if bounds is None:
-        bounds = default_grid_bounds(nu)
-    elif len(bounds) != nu.dim:
-        raise ValueError(f"{len(bounds)} grid bounds for dimension {nu.dim}")
-    return [np.linspace(lo, hi, spec.nodes_per_dim) for lo, hi in bounds]
+def bounded_grid(spec: QuadratureSpec, nu: GaussianMeasure) -> QuadratureSpec:
+    """``spec`` itself when it has bounds, else the same grid over nu's default bounds."""
+    if spec.grid_bounds is not None:
+        return spec
+    return grid_spec(spec.nodes_per_dim, default_grid_bounds(nu))
 
 
 @functools.lru_cache(maxsize=16)
@@ -125,13 +123,6 @@ def trapezoid_points(spec: QuadratureSpec, dim: int) -> Tuple[np.ndarray, np.nda
         raise ValueError(f"{len(spec.grid_bounds)} grid bounds for dimension {dim}")
     _check_budget(spec.nodes_per_dim, dim)
     axes = [np.linspace(lo, hi, spec.nodes_per_dim) for lo, hi in spec.grid_bounds]
-    points, weights = _tensorize(axes)
-    points.flags.writeable = False
-    weights.flags.writeable = False
-    return points, weights
-
-
-def _tensorize(axes: list[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     ws = []
     for ax in axes:
         w = np.full(ax.size, ax[1] - ax[0]) if ax.size > 1 else np.ones(1)
@@ -139,11 +130,14 @@ def _tensorize(axes: list[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
             w[0] *= 0.5
             w[-1] *= 0.5
         ws.append(w)
-    if len(axes) == 1:
-        return axes[0].reshape(-1, 1), ws[0]
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = functools.reduce(np.multiply.outer, ws).ravel()
+    if dim == 1:
+        points, weights = axes[0].reshape(-1, 1), ws[0]
+    else:
+        grids = np.meshgrid(*axes, indexing="ij")
+        points = np.stack([g.ravel() for g in grids], axis=-1)
+        weights = functools.reduce(np.multiply.outer, ws).ravel()
+    points.flags.writeable = False
+    weights.flags.writeable = False
     return points, weights
 
 
@@ -152,16 +146,19 @@ def measure_nodes(nu: GaussianMeasure, spec: QuadratureSpec) -> Tuple[np.ndarray
 
     Gauss-Hermite reparameterizes through the cached Cholesky factor; the
     grid rule weights trapezoid cells by the measure's density and
-    self-normalizes so that E[1] = 1 exactly.
+    self-normalizes so that E[1] = 1 exactly (:class:`NotNormalizable` if
+    the density underflows on every node).
     """
     if spec.kind == GAUSS_HERMITE:
         _check_budget(spec.nodes_per_dim, nu.dim)
         xi, w = tensor_rule(spec.nodes_per_dim, nu.dim)
         return nu.mean + xi @ nu.cholesky.T, w
-    axes = _grid_axes(nu, spec)
-    points, dx = _tensorize(axes)
+    points, dx = trapezoid_points(bounded_grid(spec, nu), nu.dim)
     w = dx * np.exp(nu.log_density(points))
-    return points, w / w.sum()
+    total = w.sum()
+    if not (np.isfinite(total) and total > 0.0):
+        raise NotNormalizable("the measure has no mass on the grid")
+    return points, w / total
 
 
 def expect(f: Callable[[np.ndarray], np.ndarray], nu: GaussianMeasure,

@@ -36,9 +36,9 @@ class BasisSet:
     elements: List[BayesElement]
     measure: GaussianMeasure
 
-
-def _phi_matrix(basis, points: np.ndarray) -> np.ndarray:
-    return np.stack([np.asarray(b.phi(points), dtype=float) for b in basis.elements])
+    def phi_matrix(self, x: np.ndarray) -> np.ndarray:
+        """The elements at the states ``x`` as a (K, m) matrix."""
+        return np.stack([np.asarray(b.phi(x), dtype=float) for b in self.elements])
 
 
 def _solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -53,7 +53,7 @@ def _solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def gram(basis, nu: MeasureLike, spec: QuadratureSpec) -> np.ndarray:
     """Matrix of pairwise basis inner products under nu (the FIM in coordinates)."""
     points, w = moment_nodes(nu, spec)
-    phi = _phi_matrix(basis, points)
+    phi = basis.phi_matrix(points)
     phi = phi - (phi @ w)[:, None]
     g = (phi * w) @ phi.T
     return 0.5 * (g + g.T)
@@ -63,7 +63,7 @@ def basis_projections(basis, p: BayesElement, nu: MeasureLike,
                       spec: QuadratureSpec) -> np.ndarray:
     """Vector of inner products <b_m, p> under nu (shared quadrature nodes)."""
     points, w = moment_nodes(nu, spec)
-    phi = _phi_matrix(basis, points)
+    phi = basis.phi_matrix(points)
     phi = phi - (phi @ w)[:, None]
     target = np.asarray(p.phi(points), dtype=float)
     target = target - w @ target
@@ -80,39 +80,14 @@ def project(p: BayesElement, basis, nu: MeasureLike, spec: QuadratureSpec) -> Co
 
 
 def reconstruct_in_basis(alpha: Sequence[float], basis) -> BayesElement:
-    """The subspace member with the given coordinates."""
+    """The subspace member with the given coordinates (with analytic
+    derivatives for a Hermite basis, finite differences otherwise)."""
     if isinstance(basis, HermiteBasis1D):
         return hermite_reconstruct(alpha, basis)
     alpha = np.asarray(alpha, dtype=float)
-    elems = basis.elements
-    if alpha.size != len(elems):
-        raise ValueError(f"{alpha.size} coordinates for a {len(elems)}-element basis")
-    dim = elems[0].dim
-
-    def phi(x, _elems=elems, _a=alpha):
-        out = np.zeros(np.asarray(x).shape[0])
-        for a, b in zip(_a, _elems):
-            out = out + a * b.phi(x)
-        return out
-
-    grad = None
-    if all(b.grad is not None for b in elems):
-        def grad(x, _elems=elems, _a=alpha):
-            out = np.zeros_like(np.asarray(x, dtype=float))
-            for a, b in zip(_a, _elems):
-                out = out + a * b.grad(x)
-            return out
-
-    hess = None
-    if all(b.hess is not None for b in elems):
-        def hess(x, _elems=elems, _a=alpha):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros((x.shape[0], x.shape[1], x.shape[1]))
-            for a, b in zip(_a, _elems):
-                out = out + a * b.hess(x)
-            return out
-
-    return BayesElement(dim=dim, phi=phi, grad=grad, hess=hess)
+    if alpha.size != len(basis.elements):
+        raise ValueError(f"{alpha.size} coordinates for a {len(basis.elements)}-element basis")
+    return BayesElement(dim=basis.measure.dim, phi=lambda x: alpha @ basis.phi_matrix(x))
 
 
 def kernel_apply(basis, nu: MeasureLike, p: BayesElement,
@@ -167,7 +142,7 @@ def _qhat_context(alpha, basis, spec):
     """Grid nodes, phi, weights and log Z of the normalized element at
     ``alpha``, with the basis phi matrix and its means at those nodes."""
     points, phi_q, w, log_zq = _grid_density(reconstruct_in_basis(alpha, basis), spec)
-    phi = _phi_matrix(basis, points)
+    phi = basis.phi_matrix(points)
     return points, phi_q, w, log_zq, phi, phi @ w
 
 

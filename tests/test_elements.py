@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayespace.elements import (BayesElement, add, constant_element, divergence,
                                 element_grad, element_hess, equivalent,
@@ -269,3 +270,51 @@ class TestStochasticDerivative:
         p = gaussian_element([0.5], [[1.5]])
         d = stochastic_derivative(lambda t: scale(t, p), theta=2.0)
         assert equivalent(d, p, rtol=1e-6)
+
+
+# Elements with polynomial phi of degree <= 4 on R^dim: not normalizable in
+# general, which the vector-space algebra does not need.
+_coeffs = st.floats(-5.0, 5.0, allow_nan=False)
+_scalars = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@st.composite
+def _poly_elements(draw, dim):
+    c = np.array(draw(st.lists(_coeffs, min_size=4 * dim + 1, max_size=4 * dim + 1)))
+    powers = np.arange(1, 5)
+
+    def phi(x, c=c):
+        x = np.asarray(x, dtype=float)
+        terms = x[:, :, None] ** powers  # (m, dim, 4)
+        return c[0] + terms.reshape(x.shape[0], -1) @ c[1:]
+
+    return BayesElement(dim, phi)
+
+
+class TestVectorSpaceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), a=_scalars, b=_scalars)
+    def test_axioms_hold_up_to_equivalence(self, data, dim, a, b):
+        p, q, r = (data.draw(_poly_elements(dim)) for _ in range(3))
+        zero = constant_element(dim)
+        assert equivalent(add(p, q), add(q, p))
+        assert equivalent(add(add(p, q), r), add(p, add(q, r)))
+        assert equivalent(add(p, zero), p)
+        assert equivalent(add(p, scale(-1.0, p)), zero)
+        assert equivalent(subtract(p, p), zero)
+        assert equivalent(scale(1.0, p), p)
+        assert equivalent(scale(a, scale(b, p)), scale(a * b, p))
+        assert equivalent(scale(a, add(p, q)), add(scale(a, p), scale(a, q)))
+        assert equivalent(scale(a + b, p), add(scale(a, p), scale(b, p)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]),
+           shift=st.floats(-1e3, 1e3, allow_nan=False),
+           mean=st.floats(-2.0, 2.0), log_var=st.floats(-1.0, 1.0))
+    def test_inner_product_ignores_an_added_constant(self, data, dim, shift, mean, log_var):
+        p, q = data.draw(_poly_elements(dim)), data.draw(_poly_elements(dim))
+        nu = GaussianMeasure(np.full(dim, mean), np.exp(log_var) * np.eye(dim))
+        shifted = add(p, BayesElement(dim, lambda x: np.full(np.asarray(x).shape[0], shift)))
+        before = inner_product(p, q, nu, SPEC)
+        after = inner_product(shifted, q, nu, SPEC)
+        assert abs(after - before) <= 1e-9 * (1.0 + abs(before))

@@ -279,6 +279,16 @@ class TestCLI:
         report = json.loads(capsys.readouterr().out)
         assert report["error"] == "NotNormalizable"
 
+    def test_measure_without_mass_on_the_divergence_grid_exit_code(self, tmp_path, capsys):
+        # the informed measure sits far outside the sweep grid around the prior
+        cfg_file = tmp_path / "far.cfg"
+        cfg_file.write_text("informed_mean = 1000\n")
+        code = main(["stereo-project", "--out", str(tmp_path / "out"),
+                     "--config", str(cfg_file)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "NotNormalizable"
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_config_file_flow(self, tmp_path):
         cfg_file = tmp_path / "demo.cfg"
         cfg_file.write_text("trials = 1\nn_poses = 6\nn_landmarks = 2\nseed = 4\n")

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from bayespace.errors import EvaluationFailure
+from bayespace.errors import EvaluationFailure, NotNormalizable
 from bayespace.hermite import hermite_poly
 from bayespace.measures import GaussianMeasure
 from bayespace.quadrature import (expect, gauss_hermite_rule, gh_spec, grid_spec,
-                                  stein_check, tensor_rule, trapezoid_points)
+                                  measure_nodes, stein_check, tensor_rule, trapezoid_points)
 
 
 def std_normal_moment(k: int) -> float:
@@ -104,6 +104,21 @@ class TestExpect:
         nu = GaussianMeasure([2.0], [[1.5]])
         got = expect(lambda x: (x[:, 0] - 2.0) ** 2, nu, grid_spec(4001))
         assert got == pytest.approx(1.5, rel=1e-9)
+
+    def test_grid_rule_reuses_the_trapezoid_points(self):
+        nu = GaussianMeasure([2.0], [[1.5]])
+        spec = grid_spec(101, [(0.0, 4.0)])
+        points, w = measure_nodes(nu, spec)
+        assert points is trapezoid_points(spec, 1)[0]
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_grid_without_mass_raises(self):
+        # the measure's density underflows on every node of a grid far from it
+        far = GaussianMeasure([1000.0], [[1.0]])
+        with pytest.raises(NotNormalizable):
+            measure_nodes(far, grid_spec(101, [(0.0, 40.0)]))
+        with pytest.raises(NotNormalizable):
+            expect(lambda x: x[:, 0], far, grid_spec(101, [(0.0, 40.0)]))
 
     def test_evaluation_failure_carries_node(self):
         nu = GaussianMeasure([0.0], [[1.0]])

@@ -10,7 +10,7 @@ from bayespace.elements import (BayesElement, constant_element, equivalent,
 from bayespace import variational
 from bayespace.errors import MeasureInvalid, NotNormalizable, SingularGram
 from bayespace.gaussian import gaussian_basis, project_to_gaussian
-from bayespace.hermite import HermiteBasis1D, reconstruct
+from bayespace.hermite import HermiteBasis1D, hermite_poly, multivariate_basis, reconstruct
 from bayespace.measures import GaussianMeasure
 from bayespace.quadrature import gh_spec, grid_spec
 from bayespace.variational import (BasisSet, GaussianSubspace, HermiteSubspace,
@@ -57,6 +57,67 @@ class TestGram:
         basis = BasisSet([b1, b2], std_normal_1d)
         g = gram(basis, std_normal_1d, SPEC)
         assert np.allclose(g, [[1.0, 1.0], [1.0, 3.0]], atol=1e-10)
+
+
+_NU2 = GaussianMeasure([1.0, -0.5], [[2.0, 0.5], [0.5, 1.0]])
+_NU3 = GaussianMeasure([0.3, 1.0, -2.0], [[1.5, 0.2, 0.1], [0.2, 0.8, -0.3], [0.1, -0.3, 2.0]])
+_BASES = {
+    "gaussian-1d": lambda: gaussian_basis(GaussianMeasure([20.0], [[9.0]])),
+    "gaussian-2d": lambda: gaussian_basis(_NU2),
+    "gaussian-3d": lambda: gaussian_basis(_NU3),
+    "hermite-1d": lambda: HermiteBasis1D(5, GaussianMeasure([20.0], [[9.0]])),
+    "hermite-2d": lambda: multivariate_basis(2, 2, _NU2),
+    "hermite-3d": lambda: multivariate_basis(3, 3, _NU3),
+    "set": lambda: BasisSet([BayesElement(1, lambda x: x[:, 0]),
+                             BayesElement(1, lambda x: np.sin(x[:, 0]))],
+                            GaussianMeasure([0.0], [[1.0]])),
+}
+
+
+class TestPhiMatrix:
+    @pytest.mark.parametrize("name", sorted(_BASES))
+    def test_rows_are_the_elements_bitwise(self, name):
+        basis = _BASES[name]()
+        x = np.random.default_rng(5).normal(0.5, 2.0, (37, basis.measure.dim))
+        phi = basis.phi_matrix(x)
+        assert phi.shape == (len(basis.elements), 37)
+        for k, b in enumerate(basis.elements):
+            assert np.array_equal(phi[k], b.phi(x)), k
+
+    def test_gaussian_rows_match_the_closed_form(self):
+        basis = gaussian_basis(_NU3)
+        x = np.random.default_rng(6).normal(0.0, 2.0, (29, 3))
+        xi = np.linalg.solve(_NU3.cholesky, (x - _NU3.mean).T).T
+        expected = [xi[:, i] for i in range(3)]
+        for j in range(3):  # vech order: column by column, on and below the diagonal
+            for i in range(j, 3):
+                expected.append(xi[:, i] * xi[:, j] * (1.0 if i != j else np.sqrt(0.5)))
+        assert np.allclose(basis.phi_matrix(x), expected, rtol=1e-12, atol=1e-12)
+
+    def test_hermite_rows_follow_the_index_sets(self):
+        basis = multivariate_basis(3, 3, _NU3)
+        x = np.random.default_rng(7).normal(0.0, 2.0, (23, 3))
+        xi = np.linalg.solve(_NU3.cholesky, (x - _NU3.mean).T).T
+        phi = basis.phi_matrix(x)
+        for row, orders in zip(phi, basis.index_sets):
+            expected = np.prod([hermite_poly(n, xi[:, d]) / np.sqrt(float(np.prod(
+                np.arange(1, n + 1)))) for d, n in enumerate(orders)], axis=0)
+            assert np.allclose(row, expected, rtol=1e-12, atol=1e-12), orders
+
+    def test_gaussian_basis_standardizes_once_per_matrix(self, monkeypatch):
+        calls = []
+        standardize = GaussianMeasure.standardize
+
+        def counted(measure, x):
+            calls.append(1)
+            return standardize(measure, x)
+
+        monkeypatch.setattr(GaussianMeasure, "standardize", counted)
+        basis = gaussian_basis(_NU3)
+        basis.phi_matrix(np.zeros((4, 3)))
+        assert len(calls) == 1
+        gram(basis, _NU3, gh_spec(5))
+        assert len(calls) == 2
 
 
 class TestProject:

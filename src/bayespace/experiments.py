@@ -24,8 +24,7 @@ from .errors import ConfigError, NotNormalizable
 from .gaussian import project_to_gaussian
 from .graphio import dumps_graph, write_new_text
 from .gvi import (FactorGraph, GaussianState, GviOptions, fill_pattern,
-                  gvi_sparse_solve, odom_factor, prior_factor, range_factor,
-                  stereo_factor)
+                  gvi_sparse_solve, stereo_factor)
 from .hermite import HermiteBasis1D, reconstruct
 from .measures import GaussianMeasure
 from .quadrature import QuadratureSpec, default_grid_bounds, gh_spec, grid_spec
@@ -431,18 +430,22 @@ def make_chain(cfg: ExperimentConfig, trial: int = 0,
     d = land_true[None, :] - poses_true[:, None]
     ranges = (d if cfg.linear else np.sqrt(d * d + h * h)) + rng.normal(0.0, sr, (np_, nl))
 
+    # Graph order: the prior, the odometry chain, then the measurements pose
+    # by pose; a linear measurement is an odom factor.
     try:
-        factors = [prior_factor(0, 0.0, s0**2)]
-        factors += [odom_factor(t, t + 1, u, su**2) for t, u in enumerate(odometry.tolist())]
-        for t, row in enumerate(ranges.tolist()):
-            for j, z in enumerate(row):
-                if cfg.linear:
-                    factors.append(odom_factor(t, np_ + j, z, sr**2))
-                else:
-                    factors.append(range_factor(t, np_ + j, z, sr**2, h))
+        blocks = [("prior", [[0]], [[0.0, s0**2]]),
+                  ("odom", np.column_stack([np.arange(np_ - 1), np.arange(1, np_)]),
+                   np.column_stack([odometry, np.full(np_ - 1, su**2)]))]
+        if nl:
+            z = ranges.ravel()
+            params = [z, np.full(z.size, sr**2)] + ([] if cfg.linear else [np.full(z.size, h)])
+            blocks.append(("odom" if cfg.linear else "range",
+                           np.column_stack([np.repeat(np.arange(np_), nl),
+                                            np_ + np.tile(np.arange(nl), np_)]),
+                           np.column_stack(params)))
+        graph = FactorGraph.from_blocks(np_ + nl, blocks)
     except (ArithmeticError, ValueError) as err:
         raise ConfigError(f"chain factor: {err}") from None
-    graph = FactorGraph(np_ + nl, tuple(factors))
     truth = np.concatenate([poses_true, land_true])
 
     mean = np.zeros(np_ + nl)

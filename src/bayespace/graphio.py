@@ -19,7 +19,9 @@ serialized under their registered id.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .gvi import Factor, FactorGraph, odom_factor, prior_factor, range_factor, stereo_factor
 
@@ -41,14 +43,34 @@ register_factor_type("range", 2, 3, lambda idx, p: range_factor(idx[0], idx[1], 
 register_factor_type("stereo", 1, 4, lambda idx, p: stereo_factor(idx[0], *p))
 
 
+def _column(values: np.ndarray, fmt: Callable) -> List[str]:
+    """``fmt`` of each entry of an int64 or float64 column; a column of one
+    value (a shared noise variance, say) is formatted once."""
+    bits = values.view(np.int64)  # bitwise, so 0.0 and -0.0 differ
+    if (bits == bits[0]).all():
+        return [fmt(values[0].item())] * len(values)
+    return list(map(fmt, values.tolist()))
+
+
 def dumps_graph(graph: FactorGraph) -> str:
-    lines = [f"VAR {graph.num_vars}"]
-    for f in graph.factors:
-        if f.kind not in _REGISTRY:
-            raise ValueError(f"factor kind {f.kind!r} is not registered for serialization")
-        fields = [str(i) for i in f.indices] + [repr(float(p)) for p in f.params]
-        lines.append("FACTOR " + " ".join([f.kind, *fields]))
-    return "\n".join(lines) + "\n"
+    """The text of ``graph``; a built-in kind's block is formatted column by
+    column."""
+    lines = [""] * sum(len(b.at) for b in graph.blocks)
+    for b in graph.blocks:
+        if b.kind is None:
+            rows = [[f.kind, *map(str, f.indices), *(repr(float(p)) for p in f.params)]
+                    for f in b.factors]
+        else:
+            columns = [_column(c, str) for c in b.idx.T] + [_column(c, repr) for c in b.params.T]
+            rows = [[b.kind.name, *row] for row in zip(*columns)]
+        for at, row in zip(b.at.tolist(), rows):
+            lines[at] = "FACTOR " + " ".join(row)
+    unregistered = sorted((at, f.kind) for b in graph.blocks if b.kind is None
+                          for at, f in zip(b.at.tolist(), b.factors) if f.kind not in _REGISTRY)
+    if unregistered:
+        raise ValueError(f"factor kind {unregistered[0][1]!r} "
+                         "is not registered for serialization")
+    return "\n".join([f"VAR {graph.num_vars}", *lines]) + "\n"
 
 
 def loads_graph(text: str) -> FactorGraph:

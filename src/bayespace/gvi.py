@@ -11,7 +11,10 @@ sparse solver evaluates the built-in factor kinds in batches, one
 vectorized call per kind over all of its factors; other factors take the
 per-factor path (:func:`factor_expectations`, :func:`assemble`).  The
 dense solver runs every factor through that per-factor path and serves as
-the oracle for the batches.
+the oracle for the batches.  A graph stores each built-in kind as arrays
+(:class:`_Block`): one built :meth:`FactorGraph.from_blocks` is checked,
+planned, solved and serialized without creating a :class:`Factor`, and
+builds ``graph.factors`` only on first use.
 """
 
 from __future__ import annotations
@@ -68,26 +71,63 @@ class Factor:
         return BayesElement(dim=self.arity, phi=self.phi, grad=self.grad, hess=self.hess)
 
 
-@dataclass(frozen=True)
 class FactorGraph:
-    num_vars: int
-    factors: Tuple[Factor, ...]
+    """A joint phi over ``num_vars`` variables: the sum of its factors.
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if self.num_vars < 0:
-            raise ValueError(f"num_vars must be nonnegative, got {self.num_vars}")
+    The factors are held in blocks (:class:`_Block`): one per built-in kind,
+    as (F, k) index and (F, p) parameter arrays, and one per arity of other
+    factors.  A graph made :meth:`from_blocks` builds ``factors`` on first
+    use.  Raises ValueError on an invalid factor, an index outside
+    0..num_vars-1 or a variable in no factor.
+    """
+
+    def __init__(self, num_vars: int, factors: Sequence[Factor]):
+        self.__dict__["factors"] = tuple(factors)
+        self._setup(num_vars, _group(self.factors))
+
+    @classmethod
+    def from_blocks(cls, num_vars: int,
+                    blocks: Sequence[Tuple[str, np.ndarray, np.ndarray]]) -> "FactorGraph":
+        """A graph of built-in factors from ``(kind, indices, params)``
+        triples of (F, k) and (F, p) arrays, whose factors follow one another
+        in graph order; triples of one kind join into one block."""
+        groups: Dict[str, list] = {}
+        start = 0
+        for name, idx, params in blocks:
+            idx = np.asarray(idx, dtype=np.intp)
+            at = np.arange(start, start + len(idx))
+            groups.setdefault(name, []).append((idx, np.asarray(params, dtype=float), at))
+            start += len(idx)
+        graph = cls.__new__(cls)
+        graph._setup(num_vars, tuple(_Block(_KINDS[name], *map(np.concatenate, zip(*parts)))
+                                     for name, parts in groups.items()))
+        return graph
+
+    def _setup(self, num_vars: int, blocks: Tuple["_Block", ...]):
+        _check_factors(blocks)
+        if num_vars < 0:
+            raise ValueError(f"num_vars must be nonnegative, got {num_vars}")
+        empty = [np.zeros(0, dtype=np.intp)]
+        idx = np.concatenate(empty + [b.idx.ravel() for b in blocks])
+        at = np.concatenate(empty + [np.repeat(b.at, b.idx.shape[1]) for b in blocks])
+        bad = (idx < 0) | (idx >= num_vars)
+        if bad.any():  # report the first in graph order
+            raise ValueError(f"factor index {idx[bad][np.argmin(at[bad])]} "
+                             f"outside 0..{num_vars - 1}")
         # A set, not a per-variable array: a huge num_vars allocates nothing.
-        covered = set()
-        for f in self.factors:
-            for i in f.indices:
-                if not 0 <= i < self.num_vars:
-                    raise ValueError(f"factor index {i} outside 0..{self.num_vars - 1}")
-            covered.update(f.indices)
-        if len(covered) < self.num_vars:
-            first = [i for i in range(min(self.num_vars, len(covered) + 10)) if i not in covered]
-            raise ValueError(f"{self.num_vars - len(covered)} variables (first {first}) "
+        covered = set(idx.tolist())
+        if len(covered) < num_vars:
+            first = [i for i in range(min(num_vars, len(covered) + 10)) if i not in covered]
+            raise ValueError(f"{num_vars - len(covered)} variables (first {first}) "
                              "appear in no factor; the information matrix would be singular")
+        self.num_vars, self.blocks = num_vars, blocks
+
+    @functools.cached_property
+    def factors(self) -> Tuple[Factor, ...]:
+        """Every factor, in graph order."""
+        made = sorted((at, b.kind.factor(i, p)) for b in self.blocks
+                      for at, i, p in zip(b.at.tolist(), b.idx.tolist(), b.params.tolist()))
+        return tuple(f for _, f in made)
 
     @functools.cached_property
     def _plan(self) -> "_Plan":
@@ -265,13 +305,15 @@ class _Block(NamedTuple):
     """Factors of one kind and arity, stacked in graph order.
 
     ``kind`` is None for factors without a batched kernel; they take the
-    per-factor path.  ``idx`` is (F, k); ``params`` is (F, p) for a kernel.
+    per-factor path through ``factors``.  ``idx`` is (F, k), ``params``
+    (F, p) for a kernel, and ``at`` (F,) the factors' places in the graph.
     """
 
     kind: Optional["_Kind"]
-    factors: Tuple[Factor, ...]
     idx: np.ndarray
     params: Optional[np.ndarray]
+    at: np.ndarray
+    factors: Tuple[Factor, ...] = ()
 
     def expectations(self, mean: np.ndarray, cov: np.ndarray, spec: QuadratureSpec,
                      with_value: bool):
@@ -289,19 +331,20 @@ class _Block(NamedTuple):
         kind = self.kind
         xi, w = tensor_rule(spec.nodes_per_dim, kind.arity)
         low_t = _cholesky_stack(cov).transpose(0, 2, 1)
-        e1 = np.empty(len(self.factors))
-        e2 = np.empty(len(self.factors))
-        values = np.empty(len(self.factors)) if with_value else None
+        count = len(self.idx)
+        e1 = np.empty(count)
+        e2 = np.empty(count)
+        values = np.empty(count) if with_value else None
         step = max(1, _CHUNK_NODES // xi.shape[0])
-        for start in range(0, len(self.factors), step):
+        for start in range(0, count, step):
             rows = slice(start, start + step)
             x = mean[rows, None, :] + xi @ low_t[rows]
             params = self.params[rows].T[..., None]  # p columns of shape (F, 1)
             d1, d2 = kind.d12(x, *params)
             bad = ~(np.isfinite(d1).all(axis=1) & np.isfinite(d2).all(axis=1))
             if bad.any():
-                f = self.factors[start + int(np.argmax(bad))]
-                raise EvaluationFailure(f"factor {f.kind}{f.indices} derivative "
+                where = tuple(self.idx[start + int(np.argmax(bad))].tolist())
+                raise EvaluationFailure(f"factor {kind.name}{where} derivative "
                                         "not finite at a quadrature node")
             e1[rows] = d1 @ w
             e2[rows] = d2 @ w
@@ -310,6 +353,36 @@ class _Block(NamedTuple):
         g = e1[:, None] * kind.jac
         h = e2[:, None, None] * np.outer(kind.jac, kind.jac)
         return g, h, values
+
+
+def _group(factors: Sequence[Factor]) -> Tuple[_Block, ...]:
+    """Blocks of ``factors``, one per built-in kind and one per arity of the
+    others, in order of first appearance."""
+    groups: Dict[Tuple[Optional[str], int], list] = {}
+    for at, f in enumerate(factors):
+        kind = _KINDS.get(f.kind)
+        batched = kind is not None and f.arity == kind.arity and len(f.params) == kind.nparams
+        groups.setdefault((f.kind if batched else None, f.arity), []).append((at, f))
+    # no index dtype: an index past 64 bits stays an int and fails the range check
+    return tuple(
+        _Block(_KINDS.get(name), np.array([f.indices for _, f in rows]),
+               np.array([f.params for _, f in rows], dtype=float) if name else None,
+               np.array([at for at, _ in rows]), tuple(f for _, f in rows))
+        for (name, _), rows in groups.items())
+
+
+def _check_factors(blocks: Sequence[_Block]):
+    """Raise the builder's ValueError for the first built-in factor in
+    graph order with invalid parameters or indices."""
+    bad = []
+    for b in blocks:
+        if b.kind is not None:
+            rows = ((np.diff(b.idx, axis=1) <= 0).any(axis=1) | ~np.isfinite(b.params).all(axis=1)
+                    | (b.params[:, b.kind.var_at] <= 0))
+            bad += [(b.at[r], b, r) for r in np.flatnonzero(rows)[:1]]
+    if bad:
+        _, b, r = min(bad, key=lambda item: item[0])
+        b.kind.factor(b.idx[r].tolist(), b.params[r].tolist())
 
 
 class _Plan(NamedTuple):
@@ -327,18 +400,7 @@ class _Plan(NamedTuple):
 
     @classmethod
     def build(cls, graph: FactorGraph) -> "_Plan":
-        n = graph.num_vars
-        groups: Dict[Tuple[Optional[str], int], List[Factor]] = {}
-        for f in graph.factors:
-            kind = _KINDS.get(f.kind)
-            batched = (kind is not None and f.arity == kind.arity
-                       and len(f.params) == kind.nparams)
-            groups.setdefault((f.kind if batched else None, f.arity), []).append(f)
-        blocks = tuple(
-            _Block(kind=_KINDS.get(name), factors=tuple(fs),
-                   idx=np.array([f.indices for f in fs], dtype=np.intp),
-                   params=np.array([f.params for f in fs]) if name else None)
-            for (name, _), fs in groups.items())
+        n, blocks = graph.num_vars, graph.blocks
         empty = [np.zeros(0, dtype=np.intp)]
         g_at = np.concatenate(empty + [b.idx.ravel() for b in blocks])
         h_at = np.concatenate(empty + [(b.idx[:, :, None] * n + b.idx[:, None, :]).ravel()
@@ -504,7 +566,7 @@ class _Kind(NamedTuple):
     def hess(self, x: np.ndarray, *params) -> np.ndarray:
         return self.d12(x, *params)[1][..., None, None] * np.outer(self.jac, self.jac)
 
-    def factor(self, indices: Tuple[int, ...], params: Sequence[float]) -> Factor:
+    def factor(self, indices: Sequence[int], params: Sequence[float]) -> Factor:
         """One factor of this kind; raises ValueError on invalid parameters."""
         params = tuple(map(float, params))
         if not all(map(math.isfinite, params)):

@@ -218,16 +218,17 @@ def fim(basis, nu: MeasureLike, dalpha_dtheta: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class GaussianSubspace:
-    """The indefinite-Gaussian subspace; coordinates via expected derivatives."""
+    """The indefinite-Gaussian subspace; coordinates via expected derivatives
+    (the step's ``basis`` is not needed)."""
 
     def basis_for(self, measure: GaussianMeasure) -> GaussianBasis:
         return gaussian_basis(measure)
 
-    def coordinates(self, p, measure, spec) -> Coordinates:
+    def coordinates(self, p, measure, spec, basis) -> Coordinates:
         a1, a2 = gaussian_coordinates(p, measure, spec)
         return np.concatenate([a1, a2])
 
-    def estimate(self, alpha, measure, spec):
+    def estimate(self, alpha, measure, spec, basis):
         n = measure.dim
         ig = gaussian_from_coordinates(alpha[:n], alpha[n:], measure)
         return ig.to_element(), ig
@@ -242,11 +243,11 @@ class HermiteSubspace:
     def basis_for(self, measure: GaussianMeasure) -> HermiteBasis1D:
         return HermiteBasis1D(self.order, measure)
 
-    def coordinates(self, p, measure, spec) -> Coordinates:
-        return project(p, self.basis_for(measure), measure, spec)
+    def coordinates(self, p, measure, spec, basis) -> Coordinates:
+        return project(p, basis, measure, spec)
 
-    def estimate(self, alpha, measure, spec):
-        elem = hermite_reconstruct(alpha, self.basis_for(measure))
+    def estimate(self, alpha, measure, spec, basis):
+        elem = hermite_reconstruct(alpha, basis)
         return elem, project_to_gaussian(elem, measure, spec)
 
 
@@ -341,10 +342,10 @@ def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasu
             alpha = alpha_self + _solve_gram(h, residual)
             delta = alpha - alpha_self
         else:
-            alpha = subspace.coordinates(p, measure, quad)
+            alpha = subspace.coordinates(p, measure, quad, basis)
             delta = _solve_gram(g, residual)
         try:
-            estimate, ig = subspace.estimate(alpha, measure, quad)
+            estimate, ig = subspace.estimate(alpha, measure, quad, basis)
         except SingularInformation as exc:
             raise MeasureInvalid(f"estimate reconstruction failed: {exc}") from exc
         if not ig.spd:

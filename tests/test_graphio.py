@@ -68,19 +68,28 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             loads_graph("VAR 1\nWHAT 3\n")
 
-    @pytest.mark.parametrize("record", [
-        "FACTOR prior 0 nan 1.0",      # non-finite parameter
-        "FACTOR prior 1 0 -1",         # negative variance
-        "FACTOR odom 0 1 1.0 0",       # zero variance
-        "FACTOR range 0 1 inf 0.25 2.0",
-        "FACTOR stereo 1 1.8 400 0.1 -0.09",
-        "FACTOR prior 0 abc 1.0",      # unparsable number
-        "FACTOR odom 1 1 1.0 0.5",     # indices not increasing
-        "FACTOR",                      # bare record
-    ])
-    def test_invalid_factor_names_its_line(self, record):
-        with pytest.raises(ValueError, match=r"^line 3: "):
+    @pytest.mark.parametrize("record, build", [
+        pytest.param(record, build, id=record) for record, build in [
+            # non-finite parameter
+            ("FACTOR prior 0 nan 1.0", lambda: prior_factor(0, float("nan"), 1.0)),
+            # negative and zero variance
+            ("FACTOR prior 1 0 -1", lambda: prior_factor(1, 0.0, -1.0)),
+            ("FACTOR odom 0 1 1.0 0", lambda: odom_factor(0, 1, 1.0, 0.0)),
+            ("FACTOR range 0 1 inf 0.25 2.0", lambda: range_factor(0, 1, float("inf"), 0.25, 2.0)),
+            ("FACTOR stereo 1 1.8 400 0.1 -0.09", lambda: stereo_factor(1, 1.8, 400.0, 0.1, -0.09)),
+            ("FACTOR prior 0 abc 1.0", None),   # unparsable number
+            # indices not increasing
+            ("FACTOR odom 1 1 1.0 0.5", lambda: odom_factor(1, 1, 1.0, 0.5)),
+            ("FACTOR range 1 0 3.0 0.25 2.0", lambda: range_factor(1, 0, 3.0, 0.25, 2.0)),
+            ("FACTOR", None),                   # bare record
+        ]])
+    def test_invalid_factor_names_its_line(self, record, build):
+        with pytest.raises(ValueError, match=r"^line 3: ") as err:
             loads_graph(f"VAR 2\nFACTOR prior 0 0.0 1.0\n{record}\nFACTOR prior 1 0.0 1.0\n")
+        if build is not None:  # the builder's own message follows the line number
+            with pytest.raises(ValueError) as built:
+                build()
+            assert str(err.value) == f"line 3: {built.value}"
 
     @pytest.mark.parametrize("count", ["10000000000000", "9223372036854775807"])
     def test_huge_var_count_is_a_value_error(self, count):

@@ -10,6 +10,7 @@ from bayespace.errors import EvaluationFailure, NonSPD
 from bayespace import gvi
 from bayespace.experiments import ExperimentConfig, make_chain
 from bayespace.gaussian import expected_derivatives
+from bayespace.graphio import dumps_graph, loads_graph
 from bayespace.gvi import (Factor, FactorGraph, GaussianState, GviOptions, assemble,
                            factor_expectations, fill_pattern, gvi_dense_solve,
                            gvi_sparse_solve, gvi_step_dense, marginals_for_factors,
@@ -78,17 +79,43 @@ class TestFactorBasics:
             assert np.allclose(f.grad(x), element_grad(elem, x), rtol=1e-5, atol=1e-6)
             assert np.allclose(f.hess(x), element_hess(elem, x), rtol=1e-4, atol=1e-4)
 
-    @pytest.mark.parametrize("build", [
-        lambda: prior_factor(0, float("nan"), 1.0),
-        lambda: prior_factor(0, 0.0, 0.0),
-        lambda: odom_factor(0, 1, 1.0, -0.5),
-        lambda: range_factor(0, 1, float("inf"), 0.25, 2.0),
-        lambda: range_factor(0, 1, 3.0, 0.25, float("nan")),
-        lambda: stereo_factor(0, 2.0, 400.0, 0.1, -0.09),
+    @pytest.mark.parametrize("num_vars, kind, indices, params", [
+        (2, "prior", (0,), (float("nan"), 1.0)),
+        (2, "prior", (0,), (0.0, 0.0)),
+        (2, "odom", (0, 1), (1.0, -0.5)),
+        (2, "range", (0, 1), (float("inf"), 0.25, 2.0)),
+        (2, "range", (0, 1), (3.0, 0.25, float("nan"))),
+        (2, "stereo", (0,), (2.0, 400.0, 0.1, -0.09)),
+        (2, "odom", (1, 1), (1.0, 0.5)),         # indices not increasing
+        (2, "range", (1, 0), (3.0, 0.25, 2.0)),
+        (2, "prior", (2,), (0.0, 1.0)),          # index out of range
+        (2, "odom", (-1, 1), (1.0, 0.5)),
+        (4, "odom", (0, 1), (1.0, 0.5)),         # variables 2 and 3 uncovered
     ])
-    def test_builders_reject_invalid_parameters(self, build):
-        with pytest.raises(ValueError):
-            build()
+    def test_builders_reject_invalid_parameters(self, num_vars, kind, indices, params):
+        # A graph of two valid priors and the factor under test: the
+        # builders, the graph's blocks and the text format raise the same
+        # ValueError; the text names the line of a factor's own error.
+        builder = {"prior": prior_factor, "odom": odom_factor, "range": range_factor,
+                   "stereo": stereo_factor}[kind]
+        priors = (prior_factor(0, 0.0, 1.0), prior_factor(1, 0.0, 1.0))
+        try:
+            factor = builder(*indices, *params)
+        except ValueError as err:
+            expected, line = str(err), "line 4: "
+        else:
+            with pytest.raises(ValueError) as err:
+                FactorGraph(num_vars, priors + (factor,))
+            expected, line = str(err.value), ""
+        with pytest.raises(ValueError) as blocked:
+            FactorGraph.from_blocks(num_vars, [("prior", [[0], [1]], [[0.0, 1.0]] * 2),
+                                               (kind, [indices], [params])])
+        assert str(blocked.value) == expected
+        fields = " ".join([*map(str, indices), *map(repr, params)])
+        with pytest.raises(ValueError) as loaded:
+            loads_graph(f"VAR {num_vars}\nFACTOR prior 0 0.0 1.0\nFACTOR prior 1 0.0 1.0\n"
+                        f"FACTOR {kind} {fields}\n")
+        assert str(loaded.value) == line + expected
 
 
 class TestFactorExpectations:
@@ -437,6 +464,40 @@ class TestChainSolves:
         assert trace.iterations == 1 and trace.coordinates == [np.zeros(1)]
         assert trace.aborted == str(err.value)
         assert len(trace.kl) == len(trace.measures) == 1
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_chain_path_builds_no_factor_objects(monkeypatch, linear):
+    built = []
+    real = Factor.__post_init__
+    monkeypatch.setattr(Factor, "__post_init__", lambda self: built.append(self) or real(self))
+    cfg = ExperimentConfig(seed=7, n_poses=6, n_landmarks=3, linear=linear)
+    graph, _, init = make_chain(cfg)
+    gvi_sparse_solve(graph, init, GviOptions(max_iters=3))
+    dumps_graph(graph)
+    assert built == []
+
+    # The same factors as the public builders give from the chain's draws.
+    rng = np.random.default_rng((cfg.seed, 0))
+    np_, nl, h = cfg.n_poses, cfg.n_landmarks, cfg.range_offset
+    poses = rng.normal(0.0, cfg.prior_sigma) + np.arange(np_, dtype=float)
+    odometry = 1.0 + rng.normal(0.0, cfg.odom_sigma, np_ - 1)
+    d = np_ + 2.0 + 2.0 * np.arange(nl)[None, :] - poses[:, None]
+    ranges = (d if linear else np.sqrt(d * d + h * h)) + rng.normal(0.0, cfg.range_sigma,
+                                                                    (np_, nl))
+    sr2 = cfg.range_sigma**2
+    expected = [prior_factor(0, 0.0, cfg.prior_sigma**2)]
+    expected += [odom_factor(t, t + 1, u, cfg.odom_sigma**2)
+                 for t, u in enumerate(odometry.tolist())]
+    expected += [odom_factor(t, np_ + j, z, sr2) if linear else range_factor(t, np_ + j, z, sr2, h)
+                 for t, row in enumerate(ranges.tolist()) for j, z in enumerate(row)]
+    factors = graph.factors
+    assert len(built) == len(expected) + len(factors) and graph.factors is factors
+    assert ([(f.kind, f.indices, f.params) for f in factors]
+            == [(f.kind, f.indices, f.params) for f in expected])
+    x = np.random.default_rng(1).uniform(1.0, 10.0, (5, 2))
+    for f, g in zip(factors, expected):
+        assert np.array_equal(f.phi(x[:, :f.arity]), g.phi(x[:, :g.arity]))
 
 
 def mixed_kind_graph(rng, n_vars: int = 12, n_range: int = 400) -> FactorGraph:

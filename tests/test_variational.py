@@ -376,6 +376,22 @@ class TestIterate:
         # The same bits as the absolute KL computed from scratch.
         assert trace.kl == [kl(q, stereo.posterior, grid) for q in trace.estimates]
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_hermite_basis_built_once_per_step(self, stereo, monkeypatch, steps):
+        builds = []
+        real = HermiteBasis1D.__post_init__
+
+        def counting(self):
+            builds.append(self.order)
+            real(self)
+
+        monkeypatch.setattr(HermiteBasis1D, "__post_init__", counting)
+        trace = iterate(stereo.posterior, HermiteSubspace(4), stereo.prior_measure,
+                        IterateOptions(tol=0.0, max_iters=steps,
+                                       kl_grid=reporting_grid(stereo.prior_measure)))
+        assert trace.iterations == steps
+        assert builds == [4] * steps
+
     def test_kl_evaluates_the_estimate_once(self, stereo):
         q = gaussian_element([21.0], [[4.0]])
         calls = []

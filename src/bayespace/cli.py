@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower())
-        p.add_argument("--out", metavar="DIR", help="output directory")
+        p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
         p.add_argument("--seed", type=int, metavar="U64", help="random seed")
         p.add_argument("--nodes", type=int, metavar="N", help="quadrature nodes per dimension")
         p.add_argument("--max-iters", type=int, metavar="N", help="iteration cap")
@@ -44,31 +44,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {
-        "out_dir": args.out,
-        "seed": args.seed,
-        "nodes": args.nodes,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "basis": args.basis,
-        "z": args.z,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.validate()
+    for key in ("out_dir", "seed", "nodes", "max_iters", "tol", "basis", "z"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     return cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = _config_from_args(args)
-    except ConfigError as err:
-        print(f"bh: configuration error: {err}", file=sys.stderr)
-        return 2
-    try:
-        summary = _COMMANDS[args.command](cfg)
+    try:  # each run_* validates the config before it writes anything
+        summary = _COMMANDS[args.command](_config_from_args(args))
     except ConfigError as err:
         print(f"bh: configuration error: {err}", file=sys.stderr)
         return 2

@@ -179,10 +179,6 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _config_echo(cfg: ExperimentConfig) -> Dict:
-    return {k: v for k, v in dataclasses.asdict(cfg).items()}
-
-
 # ---------------------------------------------------------------------------
 # Stereo-camera problem
 # ---------------------------------------------------------------------------
@@ -275,7 +271,7 @@ def run_stereo_project(cfg: ExperimentConfig) -> Dict:
         scalars[f"variance_{name}"] = float(1.0 / proj.info[0, 0])
 
     _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
-    summary = {"experiment": "stereo-project", "config": _config_echo(cfg), **scalars}
+    summary = {"experiment": "stereo-project", "config": dataclasses.asdict(cfg), **scalars}
     _write_summary(out / "summary.json", summary)
     return summary
 
@@ -309,7 +305,7 @@ def run_stereo_iterate(cfg: ExperimentConfig) -> Dict:
                 trace.step_norm])
     summary = {
         "experiment": "stereo-iterate",
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "z": problem.z,
         "iterations": trace.iterations,
         "converged": trace.converged,
@@ -356,7 +352,7 @@ def run_hermite_sweep(cfg: ExperimentConfig) -> Dict:
     _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
     summary = {
         "experiment": "hermite-sweep",
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "z": problem.z,
         "orders": orders,
         "divergence": [float(v) for v in divergences],
@@ -393,7 +389,7 @@ def run_hermite_iterate(cfg: ExperimentConfig) -> Dict:
                [range(1, n + 1), _padded(trace2.kl, n), _padded(trace_m.kl, n)])
     summary = {
         "experiment": "hermite-iterate",
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "z": problem.z,
         "kl_m2": [float(v) for v in trace2.kl],
         f"kl_m{order}": [float(v) for v in trace_m.kl],
@@ -527,7 +523,7 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
 
     summary = {
         "experiment": "gvi-demo",
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "trials": cfg.trials,
         "esgvi_iterations": tr_vi.iterations,
         "esgvi_converged": tr_vi.converged,

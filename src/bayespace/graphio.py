@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .gvi import Factor, FactorGraph, odom_factor, prior_factor, range_factor, stereo_factor
+from .gvi import _KINDS, Factor, FactorGraph
 
 _Builder = Callable[[Sequence[int], Sequence[float]], Factor]
 
@@ -37,10 +37,8 @@ def register_factor_type(kind: str, arity: int, nparams: int, builder: _Builder)
     _REGISTRY[kind] = (arity, nparams, builder)
 
 
-register_factor_type("prior", 1, 2, lambda idx, p: prior_factor(idx[0], *p))
-register_factor_type("odom", 2, 2, lambda idx, p: odom_factor(idx[0], idx[1], *p))
-register_factor_type("range", 2, 3, lambda idx, p: range_factor(idx[0], idx[1], *p))
-register_factor_type("stereo", 1, 4, lambda idx, p: stereo_factor(idx[0], *p))
+for _kind in _KINDS.values():
+    register_factor_type(_kind.name, _kind.arity, _kind.nparams, _kind.factor)
 
 
 def _column(values: np.ndarray, fmt: Callable) -> List[str]:

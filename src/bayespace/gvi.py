@@ -12,9 +12,12 @@ vectorized call per kind over all of its factors; other factors take the
 per-factor path (:func:`factor_expectations`, :func:`assemble`).  The
 dense solver runs every factor through that per-factor path and serves as
 the oracle for the batches.  A graph stores each built-in kind as arrays
-(:class:`_Block`): one built :meth:`FactorGraph.from_blocks` is checked,
-planned, solved and serialized without creating a :class:`Factor`, and
-builds ``graph.factors`` only on first use.
+(:class:`_Block`) and holds what its batches share: the gradient scatter
+index (the concatenated block indices its checks read), and the Hessian
+scatter index and read-only fill pattern, built on first use.  A graph
+built :meth:`FactorGraph.from_blocks` is checked, solved and serialized
+without creating a :class:`Factor`, and builds ``graph.factors`` only on
+first use.
 """
 
 from __future__ import annotations
@@ -77,8 +80,9 @@ class FactorGraph:
     The factors are held in blocks (:class:`_Block`): one per built-in kind,
     as (F, k) index and (F, p) parameter arrays, and one per arity of other
     factors.  A graph made :meth:`from_blocks` builds ``factors`` on first
-    use.  Raises ValueError on an invalid factor, an index outside
-    0..num_vars-1 or a variable in no factor.
+    use.  The graph also holds the scatter indices and the fill pattern of
+    its batched expectations.  Raises ValueError on an invalid factor, an
+    index outside 0..num_vars-1 or a variable in no factor.
     """
 
     def __init__(self, num_vars: int, factors: Sequence[Factor]):
@@ -89,14 +93,22 @@ class FactorGraph:
     def from_blocks(cls, num_vars: int,
                     blocks: Sequence[Tuple[str, np.ndarray, np.ndarray]]) -> "FactorGraph":
         """A graph of built-in factors from ``(kind, indices, params)``
-        triples of (F, k) and (F, p) arrays, whose factors follow one another
-        in graph order; triples of one kind join into one block."""
+        triples of integer (F, arity) and (F, nparams) arrays, whose factors
+        follow one another in graph order; triples of one kind join into one
+        block.  Raises ValueError naming the kind and the shapes otherwise."""
         groups: Dict[str, list] = {}
         start = 0
         for name, idx, params in blocks:
-            idx = np.asarray(idx, dtype=np.intp)
+            kind, idx, params = _KINDS.get(name), np.asarray(idx), np.asarray(params, dtype=float)
+            if not (kind is not None and idx.dtype.kind in "iu" and np.can_cast(idx.dtype, np.intp)
+                    and idx.shape[1:] == (kind.arity,)
+                    and params.shape == (len(idx), kind.nparams)):
+                want = (f"integer (F, {kind.arity}) indices and (F, {kind.nparams}) params"
+                        if kind else "a built-in kind")
+                raise ValueError(f"{name!r} block: expected {want}, got {idx.dtype} indices "
+                                 f"{idx.shape} and params {params.shape}")
             at = np.arange(start, start + len(idx))
-            groups.setdefault(name, []).append((idx, np.asarray(params, dtype=float), at))
+            groups.setdefault(name, []).append((idx.astype(np.intp), params, at))
             start += len(idx)
         graph = cls.__new__(cls)
         graph._setup(num_vars, tuple(_Block(_KINDS[name], *map(np.concatenate, zip(*parts)))
@@ -120,7 +132,8 @@ class FactorGraph:
             first = [i for i in range(min(num_vars, len(covered) + 10)) if i not in covered]
             raise ValueError(f"{num_vars - len(covered)} variables (first {first}) "
                              "appear in no factor; the information matrix would be singular")
-        self.num_vars, self.blocks = num_vars, blocks
+        # idx is also the gradient scatter index: where the stacked block outputs go in g
+        self.num_vars, self.blocks, self._g_at = num_vars, blocks, idx
 
     @functools.cached_property
     def factors(self) -> Tuple[Factor, ...]:
@@ -130,8 +143,41 @@ class FactorGraph:
         return tuple(f for _, f in made)
 
     @functools.cached_property
-    def _plan(self) -> "_Plan":
-        return _Plan.build(self)
+    def _h_at(self) -> np.ndarray:
+        """Where the blocks' stacked Hessians scatter to in the raveled (n, n)."""
+        n = self.num_vars
+        return np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            (b.idx[:, :, None] * n + b.idx[:, None, :]).ravel() for b in self.blocks])
+
+    @functools.cached_property
+    def _pattern(self) -> np.ndarray:
+        n = self.num_vars
+        mask = np.zeros(n * n, dtype=bool)
+        mask[self._h_at] = mask[::n + 1] = True
+        mask.flags.writeable = False
+        return mask.reshape(n, n)
+
+    def _expectations(self, mean: np.ndarray, sigma: np.ndarray, spec: QuadratureSpec,
+                      with_value: bool) -> Tuple[np.ndarray, np.ndarray, Optional[float]]:
+        """Joint E[grad], E[hess] and (with ``with_value``) the summed E[phi].
+
+        ``sigma`` need only hold the covariance entries inside the fill.
+        Each entry accumulates its factors' terms in block order, which is
+        graph order whenever each kind's factors are contiguous in the graph.
+        """
+        n = self.num_vars
+        gs, hs, values = [], [], []
+        for b in self.blocks:
+            g, h, v = b.expectations(mean[b.idx], sigma[b.idx[:, :, None], b.idx[:, None, :]],
+                                     spec, with_value)
+            gs.append(g.ravel())
+            hs.append(h.ravel())
+            values.append(v)
+        g = np.bincount(self._g_at, weights=np.concatenate(gs), minlength=n)
+        h = np.bincount(self._h_at, weights=np.concatenate(hs), minlength=n * n).reshape(n, n)
+        # add.accumulate sums left to right, like adding the terms one at a time
+        loss = float(np.add.accumulate(np.concatenate(values))[-1]) if with_value else None
+        return g, h, loss
 
     def joint_element(self) -> BayesElement:
         """The full-dimensional sum of the factors (dense-route oracle)."""
@@ -173,7 +219,7 @@ def fill_pattern(graph: FactorGraph) -> np.ndarray:
 
     Built once per graph and shared by every caller, so it is read-only.
     """
-    return graph._plan.pattern
+    return graph._pattern
 
 
 def _covariance(low: np.ndarray) -> np.ndarray:
@@ -385,56 +431,6 @@ def _check_factors(blocks: Sequence[_Block]):
         b.kind.factor(b.idx[r].tolist(), b.params[r].tolist())
 
 
-class _Plan(NamedTuple):
-    """Per-graph constants of the batched evaluation, built once per graph.
-
-    ``g_at``/``h_at`` are the flat positions in g and in the raveled
-    (n, n) information that the blocks' stacked outputs scatter to.
-    """
-
-    num_vars: int
-    blocks: Tuple[_Block, ...]
-    g_at: np.ndarray
-    h_at: np.ndarray
-    pattern: np.ndarray
-
-    @classmethod
-    def build(cls, graph: FactorGraph) -> "_Plan":
-        n, blocks = graph.num_vars, graph.blocks
-        empty = [np.zeros(0, dtype=np.intp)]
-        g_at = np.concatenate(empty + [b.idx.ravel() for b in blocks])
-        h_at = np.concatenate(empty + [(b.idx[:, :, None] * n + b.idx[:, None, :]).ravel()
-                                       for b in blocks])
-        mask = np.zeros(n * n, dtype=bool)
-        mask[h_at] = True
-        mask[::n + 1] = True
-        pattern = mask.reshape(n, n)
-        pattern.flags.writeable = False
-        return cls(n, blocks, g_at, h_at, pattern)
-
-    def expectations(self, mean: np.ndarray, sigma: np.ndarray, spec: QuadratureSpec,
-                     with_value: bool) -> Tuple[np.ndarray, np.ndarray, Optional[float]]:
-        """Joint E[grad], E[hess] and (with ``with_value``) the summed E[phi].
-
-        ``sigma`` need only hold the covariance entries inside the fill.
-        Each entry accumulates its factors' terms in block order, which is
-        graph order whenever each kind's factors are contiguous in the graph.
-        """
-        n = self.num_vars
-        gs, hs, values = [], [], []
-        for b in self.blocks:
-            g, h, v = b.expectations(mean[b.idx], sigma[b.idx[:, :, None], b.idx[:, None, :]],
-                                     spec, with_value)
-            gs.append(g.ravel())
-            hs.append(h.ravel())
-            values.append(v)
-        g = np.bincount(self.g_at, weights=np.concatenate(gs), minlength=n)
-        h = np.bincount(self.h_at, weights=np.concatenate(hs), minlength=n * n).reshape(n, n)
-        # add.accumulate sums left to right, like adding the terms one at a time
-        loss = float(np.add.accumulate(np.concatenate(values))[-1]) if with_value else None
-        return g, h, loss
-
-
 # ---------------------------------------------------------------------------
 # Marginal extraction and the per-factor oracle
 # ---------------------------------------------------------------------------
@@ -454,7 +450,7 @@ def marginals_for_factors(state: GaussianState,
 
 def _per_factor_expectations(graph: FactorGraph, mean: np.ndarray, sigma: np.ndarray,
                              spec: QuadratureSpec, with_value: bool):
-    """The oracle for :meth:`_Plan.expectations`: each factor's marginal,
+    """The oracle for :meth:`FactorGraph._expectations`: each factor's marginal,
     :func:`factor_expectations`, then :func:`assemble`."""
     outs = [factor_expectations(f, marginal, spec, with_value)
             for f, marginal in zip(graph.factors, _marginals(graph, mean, sigma))]
@@ -484,7 +480,7 @@ def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
               expectations: Callable) -> IterationTrace:
     """Iterate ``expectations(mean, sigma, spec, with_value) -> (g, h, loss)``
     with one Cholesky factorization of the new information per iteration."""
-    if (np.abs(init.info[~graph._plan.pattern]) > 0).any():
+    if (np.abs(init.info[~graph._pattern]) > 0).any():
         raise ValueError("initial information has entries outside the graph fill")
     low = cholesky_or_raise(init.info, "information matrix")
 
@@ -512,7 +508,7 @@ def gvi_sparse_solve(graph: FactorGraph, init: GaussianState,
                      opts: Optional[GviOptions] = None) -> IterationTrace:
     """Factor-decomposed Gaussian iterative projection (exactly sparse route):
     expectations batched per factor kind, reading only blocks inside the fill."""
-    return _gvi_loop(graph, init, opts or GviOptions(), graph._plan.expectations)
+    return _gvi_loop(graph, init, opts or GviOptions(), graph._expectations)
 
 
 def gvi_dense_solve(graph: FactorGraph, init: GaussianState,

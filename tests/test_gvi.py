@@ -117,6 +117,22 @@ class TestFactorBasics:
                         f"FACTOR {kind} {fields}\n")
         assert str(loaded.value) == line + expected
 
+    @pytest.mark.parametrize("kind, indices, params", [
+        ("pose", [[0], [1]], [[0.0, 1.0]] * 2),         # unknown kind
+        ("prior", [[0], [1]], [[0.0]] * 2),             # a parameter column missing
+        ("prior", [0, 1], [[0.0, 1.0]] * 2),            # 1-D indices
+        ("prior", [[0], [2**70]], [[0.0, 1.0]] * 2),    # an index past 64 bits
+        ("prior", [[0], [1]], [[0.0, 1.0]]),            # fewer parameter rows than factors
+        ("prior", [[0.7], [1.2]], [[0.0, 1.0]] * 2),    # float indices
+        ("odom", [[0], [1]], [[1.0, 1.0]] * 2),         # one index for a two-variable kind
+    ])
+    def test_from_blocks_rejects_malformed_arrays(self, kind, indices, params):
+        with pytest.raises(ValueError) as err:
+            FactorGraph.from_blocks(2, [(kind, indices, params)])
+        message = str(err.value)
+        assert repr(kind) in message
+        assert str(np.shape(indices)) in message and str(np.shape(params)) in message
+
 
 class TestFactorExpectations:
     def test_unary_quadratic_exact(self):
@@ -394,8 +410,8 @@ class TestChainSolves:
             assert np.abs(measure.covariance - sigma).max() <= 1e-12 * np.abs(sigma).max()
             assert np.array_equal(measure.mean, trace.coordinates[k])
             # loss = E[phi] under the previous estimate minus its entropy
-            _, _, expected_phi = graph._plan.expectations(prev.mean, prev.covariance, spec,
-                                                          with_value=True)
+            _, _, expected_phi = graph._expectations(prev.mean, prev.covariance, spec,
+                                                     with_value=True)
             entropy = 0.5 * n * (1.0 + np.log(2.0 * np.pi)) - 0.5 * np.linalg.slogdet(prev_info)[1]
             assert trace.kl[k] == pytest.approx(expected_phi - entropy, rel=1e-12)
             prev, prev_info = measure, trace.gaussians[k].info
@@ -500,6 +516,25 @@ def test_chain_path_builds_no_factor_objects(monkeypatch, linear):
         assert np.array_equal(f.phi(x[:, :f.arity]), g.phi(x[:, :g.arity]))
 
 
+@pytest.mark.parametrize("linear", [False, True])
+def test_constructors_give_the_same_graph(linear):
+    # make_chain's array-built graph, its factors through FactorGraph and
+    # its text read back: the same fill, batched outputs and text.
+    graph, _, _ = make_chain(ExperimentConfig(seed=3, linear=linear))
+    n, text = graph.num_vars, dumps_graph(graph)
+    rng = np.random.default_rng(4)
+    mean = rng.uniform(0.0, 30.0, n)
+    a = rng.standard_normal((n, n)) * 0.1
+    sigma = a @ a.T + np.diag(rng.uniform(0.05, 0.3, n))
+    expected = graph._expectations(mean, sigma, SPEC, with_value=True)
+    for other in (FactorGraph(n, graph.factors), loads_graph(text)):
+        assert np.array_equal(fill_pattern(other), fill_pattern(graph))
+        g, h, loss = other._expectations(mean, sigma, SPEC, with_value=True)
+        assert (g.tobytes(), h.tobytes()) == (expected[0].tobytes(), expected[1].tobytes())
+        assert loss == expected[2]
+        assert dumps_graph(other) == text
+
+
 def mixed_kind_graph(rng, n_vars: int = 12, n_range: int = 400) -> FactorGraph:
     """Every built-in kind plus a custom one, interleaved, with more range
     factors than one batch chunk holds at 10 nodes per dimension."""
@@ -530,7 +565,7 @@ class TestBatchedExpectations:
             mean = rng.uniform(15.0, 25.0, n)
             a = rng.standard_normal((n, n)) * 0.15
             sigma = a @ a.T + np.diag(rng.uniform(0.05, 0.3, n))
-            g, h, loss = graph._plan.expectations(mean, sigma, spec, with_value=True)
+            g, h, loss = graph._expectations(mean, sigma, spec, with_value=True)
             expectations, loss_ref = [], 0.0
             for f in graph.factors:
                 idx = list(f.indices)
@@ -570,7 +605,7 @@ class TestBatchedExpectations:
     def test_non_spd_block_raises(self, sigma, minor):
         graph = FactorGraph(2, (prior_factor(0, 0.0, 1.0), odom_factor(0, 1, 1.0, 0.5)))
         with pytest.raises(NonSPD) as err:
-            graph._plan.expectations(np.zeros(2), sigma, SPEC, with_value=False)
+            graph._expectations(np.zeros(2), sigma, SPEC, with_value=False)
         assert err.value.minor == minor
 
     def test_non_spd_block_of_three_variable_factor(self):
@@ -612,7 +647,7 @@ def mixed_kind_problems(draw):
 @given(mixed_kind_problems())
 def test_batched_expectations_match_per_factor_oracle(problem):
     graph, mean, sigma, spec = problem
-    g, h, loss = graph._plan.expectations(mean, sigma, spec, with_value=True)
+    g, h, loss = graph._expectations(mean, sigma, spec, with_value=True)
     g_ref, h_ref, loss_ref = gvi._per_factor_expectations(graph, mean, sigma, spec,
                                                           with_value=True)
     assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()

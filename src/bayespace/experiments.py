@@ -120,6 +120,8 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "
 def _coerce(key: str, value: str):
     kind = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}[key]
     if value.lower() in ("none", ""):
+        if not str(kind).startswith("Optional["):
+            raise ValueError(f"{key} cannot be none")
         return None
     if "bool" in str(kind):
         if value.lower() not in _BOOLEANS:
@@ -138,24 +140,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_CSV_BLOCK_ROWS = 256
-
-
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write a table given by columns; floats print as their ``repr``.
-
-    An all-float64 table is formatted from ``tolist()`` in blocks of rows,
-    which gives the same bytes as ``_fmt`` per value without building a
-    string per value up front; mixed columns go through ``_fmt``.
-    """
-    lines = [",".join(header)]
-    if columns and all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns):
-        table = np.column_stack(columns)
-        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS].tolist()
-            lines += [",".join(map(repr, row)) for row in block]
-    else:
-        lines += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    """Write a table given by columns, each formatted whole: a float64 array
+    as the ``repr`` of its ``tolist()`` values, anything else through ``_fmt``."""
+    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype == np.float64
+             else map(_fmt, c) for c in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     write_new_text(path, "\n".join(lines) + "\n")
 
 
@@ -260,18 +250,23 @@ def run_stereo_project(cfg: ExperimentConfig) -> Dict:
     scalars: Dict[str, float] = {"z": problem.z}
     if problem.x_true is not None:
         scalars["x_true"] = problem.x_true
+    not_normalizable: List[str] = []
     for name, nu in measures.items():
         proj = project_to_gaussian(problem.posterior, nu, quad)
         q = proj.to_element()
-        columns[f"projection_{name}"] = _density_column(q, grid)
-        scalars[f"kl_{name}"] = kl(q, problem.posterior, grid)
+        try:  # both normalize q on the density grid, so they fail together
+            columns[f"projection_{name}"] = _density_column(q, grid)
+            scalars[f"kl_{name}"] = kl(q, problem.posterior, grid)
+        except NotNormalizable:
+            not_normalizable.append(name)
         scalars[f"divergence_{name}"] = information(
             subtract(problem.posterior, q), nu, problem.sweep_grid())
         scalars[f"mean_{name}"] = float(proj.mean_like[0])
         scalars[f"variance_{name}"] = float(1.0 / proj.info[0, 0])
 
     _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
-    summary = {"experiment": "stereo-project", "config": dataclasses.asdict(cfg), **scalars}
+    summary = {"experiment": "stereo-project", "config": dataclasses.asdict(cfg), **scalars,
+               "not_normalizable_measures": not_normalizable}
     _write_summary(out / "summary.json", summary)
     return summary
 

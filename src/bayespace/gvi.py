@@ -384,9 +384,9 @@ class _Block(NamedTuple):
         step = max(1, _CHUNK_NODES // xi.shape[0])
         for start in range(0, count, step):
             rows = slice(start, start + step)
-            x = mean[rows, None, :] + xi @ low_t[rows]
+            s = (mean[rows, None, :] + xi @ low_t[rows]) @ kind.jac
             params = self.params[rows].T[..., None]  # p columns of shape (F, 1)
-            d1, d2 = kind.d12(x, *params)
+            d1, d2 = kind.d12(s, *params)
             bad = ~(np.isfinite(d1).all(axis=1) & np.isfinite(d2).all(axis=1))
             if bad.any():
                 where = tuple(self.idx[start + int(np.argmax(bad))].tolist())
@@ -395,7 +395,7 @@ class _Block(NamedTuple):
             e1[rows] = d1 @ w
             e2[rows] = d2 @ w
             if with_value:
-                values[rows] = kind.phi(x, *params) @ w
+                values[rows] = kind.phi(s, *params) @ w
         g = e1[:, None] * kind.jac
         h = e2[:, None, None] * np.outer(kind.jac, kind.jac)
         return g, h, values
@@ -538,14 +538,14 @@ def gvi_step_dense(p: BayesElement, state: GaussianState,
 # ---------------------------------------------------------------------------
 
 class _Kind(NamedTuple):
-    """A built-in factor kind: phi(x), grad = d1(x) jac, hess = d2(x) jac jac^T.
+    """A built-in factor kind: a formula of the one scalar s = x @ jac.
 
-    ``phi`` and ``d12`` (which returns ``(d1, d2)``) map nodes (..., k) and
-    parameters that broadcast against (...) onto (...): one factor's
-    closures pass its parameters as floats, a batch of F factors passes
-    (F, 1) columns with (F, m, k) nodes.  Each formula is written once,
-    here.  ``jac`` has no zero entry, so d1 and d2 are finite exactly
-    where the gradient and the Hessian are.
+    phi(s), grad = d1(s) jac, hess = d2(s) jac jac^T, where s is x_0 or
+    x_1 - x_0 bit for bit (``jac`` is (1) or (-1, 1); with no zero entry,
+    d1 and d2 are finite exactly where the gradient and Hessian are).
+    ``phi`` and ``d12`` (returning ``(d1, d2)``) take s and parameters that
+    broadcast against it: floats from one factor's closures, (F, 1) columns
+    with (F, m) values of s from a batch.
     """
 
     name: str
@@ -556,12 +556,6 @@ class _Kind(NamedTuple):
     phi: Callable[..., np.ndarray]
     d12: Callable[..., Tuple[np.ndarray, np.ndarray]]
 
-    def grad(self, x: np.ndarray, *params) -> np.ndarray:
-        return self.d12(x, *params)[0][..., None] * self.jac
-
-    def hess(self, x: np.ndarray, *params) -> np.ndarray:
-        return self.d12(x, *params)[1][..., None, None] * np.outer(self.jac, self.jac)
-
     def factor(self, indices: Sequence[int], params: Sequence[float]) -> Factor:
         """One factor of this kind; raises ValueError on invalid parameters."""
         params = tuple(map(float, params))
@@ -570,60 +564,57 @@ class _Kind(NamedTuple):
         if params[self.var_at] <= 0:
             raise ValueError(f"{self.name} factor variance must be positive, "
                              f"got {params[self.var_at]}")
-        return Factor(indices=indices,
-                      phi=lambda x: self.phi(x, *params),
-                      grad=lambda x: self.grad(x, *params),
-                      hess=lambda x: self.hess(x, *params),
+        jac = self.jac
+        return Factor(indices=indices, phi=lambda x: self.phi(x @ jac, *params),
+                      grad=lambda x: self.d12(x @ jac, *params)[0][..., None] * jac,
+                      hess=lambda x: (self.d12(x @ jac, *params)[1][..., None, None]
+                                      * np.outer(jac, jac)),
                       kind=self.name, params=params)
 
 
-def _constant(x: np.ndarray, value) -> np.ndarray:
-    return np.broadcast_to(value, x.shape[:-1])
+def _linear_phi(s, shift, var):
+    return 0.5 * (s - shift) ** 2 / var
 
 
-def _linear_d12(residual: np.ndarray, x: np.ndarray, var) -> Tuple[np.ndarray, np.ndarray]:
-    return residual / var, _constant(x, 1.0 / var)
+def _linear_d12(s, shift, var):
+    return (s - shift) / var, np.broadcast_to(1.0 / var, np.shape(s))
 
 
-def _range_parts(x, z, offset):
-    d = x[..., 1] - x[..., 0]
-    r = np.sqrt(d * d + offset * offset)
-    return d, r, z - r
+def _range_parts(s, z, offset):
+    r = np.sqrt(s * s + offset * offset)
+    return r, z - r
 
 
-def _range_phi(x, z, var, offset):
-    _, _, e = _range_parts(x, z, offset)
+def _range_phi(s, z, var, offset):
+    _, e = _range_parts(s, z, offset)
     return 0.5 * e * e / var
 
 
-def _range_d12(x, z, var, offset):
-    d, r, e = _range_parts(x, z, offset)
-    slope = d / r
+def _range_d12(s, z, var, offset):
+    r, e = _range_parts(s, z, offset)
+    slope = s / r
     return -e * slope / var, (slope**2 - e * (offset * offset) / r**3) / var
 
 
-def _stereo_d12(x, z, f, b, var):
-    xv, fb = x[..., 0], f * b
-    e, slope = z - fb / xv, fb / xv**2
-    return e * slope / var, (slope**2 + e * (-2.0 * fb / xv**3)) / var
+def _stereo_phi(s, z, f, b, var):
+    return 0.5 * (z - f * b / s) ** 2 / var
+
+
+def _stereo_d12(s, z, f, b, var):
+    fb = f * b
+    e, slope = z - fb / s, fb / s**2
+    return e * slope / var, (slope**2 + e * (-2.0 * fb / s**3)) / var
 
 
 _KINDS: Dict[str, _Kind] = {kind.name: kind for kind in (
-    _Kind(
-        name="prior", arity=1, nparams=2, var_at=1, jac=np.array([1.0]),
-        phi=lambda x, mean, var: 0.5 * (x[..., 0] - mean) ** 2 / var,
-        d12=lambda x, mean, var: _linear_d12(x[..., 0] - mean, x, var)),
-    _Kind(
-        name="odom", arity=2, nparams=2, var_at=1, jac=np.array([-1.0, 1.0]),
-        phi=lambda x, u, var: 0.5 * (x[..., 1] - x[..., 0] - u) ** 2 / var,
-        d12=lambda x, u, var: _linear_d12(x[..., 1] - x[..., 0] - u, x, var)),
-    _Kind(
-        name="range", arity=2, nparams=3, var_at=1, jac=np.array([-1.0, 1.0]),
-        phi=_range_phi, d12=_range_d12),
-    _Kind(
-        name="stereo", arity=1, nparams=4, var_at=3, jac=np.array([1.0]),
-        phi=lambda x, z, f, b, var: 0.5 * (z - f * b / x[..., 0]) ** 2 / var,
-        d12=_stereo_d12),
+    _Kind("prior", arity=1, nparams=2, var_at=1, jac=np.array([1.0]),
+          phi=_linear_phi, d12=_linear_d12),
+    _Kind("odom", arity=2, nparams=2, var_at=1, jac=np.array([-1.0, 1.0]),
+          phi=_linear_phi, d12=_linear_d12),
+    _Kind("range", arity=2, nparams=3, var_at=1, jac=np.array([-1.0, 1.0]),
+          phi=_range_phi, d12=_range_d12),
+    _Kind("stereo", arity=1, nparams=4, var_at=3, jac=np.array([1.0]),
+          phi=_stereo_phi, d12=_stereo_d12),
 )}
 
 

@@ -30,21 +30,15 @@ def _sqrt_factorial(n: int) -> float:
 
 
 def hermite_poly(n: int, xi) -> np.ndarray:
-    """Probabilist's Hermite polynomial H_n via H_{k+1} = xi H_k - k H_{k-1}."""
+    """Probabilist's Hermite polynomial H_n, shaped like ``xi``."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     xi = np.asarray(xi, dtype=float)
-    h_prev = np.ones_like(xi)
-    if n == 0:
-        return h_prev
-    h = xi.copy()
-    for k in range(1, n):
-        h, h_prev = xi * h - k * h_prev, h
-    return h
+    return hermite_design(n, xi.ravel())[n].reshape(xi.shape)
 
 
 def hermite_design(max_n: int, xi: np.ndarray) -> np.ndarray:
-    """All of H_0..H_max stacked as rows: shape (max_n + 1, len(xi))."""
+    """Rows H_0..H_max_n by H_{k+1} = xi H_k - k H_{k-1}: (max_n + 1, len(xi))."""
     xi = np.asarray(xi, dtype=float)
     out = np.empty((max_n + 1, xi.size))
     out[0] = 1.0

@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bayespace.cli import main
 from bayespace.errors import ConfigError
-from bayespace.experiments import (_CSV_BLOCK_ROWS, ExperimentConfig, _fmt, _padded,
-                                   _write_csv, make_chain, run_gvi_demo,
+from bayespace.experiments import (ExperimentConfig, _fmt, _padded, _write_csv,
+                                   make_chain, run_gvi_demo,
                                    run_hermite_iterate, run_hermite_sweep,
                                    run_stereo_iterate, run_stereo_project)
 from bayespace.graphio import dumps_graph
@@ -114,6 +114,21 @@ class TestStereoProject:
         run_stereo_project(cfg)
         digest = hashlib.sha256((tmp_path / "densities.csv").read_bytes()).hexdigest()
         assert digest == PINNED_DENSITIES_SHA256
+
+    def test_projection_without_decay_on_the_grid_is_listed(self, tmp_path):
+        # Seed 76 draws z past 2.7: the informed-measure projection keeps
+        # more than 1e-6 of its peak at the grid's low edge, so it has no
+        # density column and no KL, while its divergence and moments stay.
+        summary = run_stereo_project(ExperimentConfig(out_dir=str(tmp_path), seed=76))
+        assert summary["not_normalizable_measures"] == ["informed_measure"]
+        assert "kl_informed_measure" not in summary and "kl_prior_measure" in summary
+        for key in ("divergence", "mean", "variance"):
+            assert np.isfinite(summary[f"{key}_informed_measure"])
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert written["not_normalizable_measures"] == ["informed_measure"]
+        cols = read_csv(tmp_path / "densities.csv")
+        assert list(cols) == ["x", "prior", "posterior", "projection_prior_measure"]
+        densities_integrate_to_one(tmp_path / "densities.csv")
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -307,6 +322,24 @@ class TestCLI:
         assert code == 2
         assert f"{cfg_file}:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["seed = none", "trials =", "s2_p = None",
+                                      "informed_var =", "range_sigma = none",
+                                      "out_dir = none", "mu_p = none", "f =",
+                                      "linear = none"])
+    @pytest.mark.parametrize("command", ["stereo-project", "gvi-demo"])
+    def test_none_for_a_required_field_exit_code(self, tmp_path, capsys, command, line):
+        cfg_file = tmp_path / "none.cfg"
+        cfg_file.write_text(f"n_poses = 4\n{line}\n")
+        code = main([command, "--out", str(tmp_path / "out"), "--config", str(cfg_file)])
+        assert code == 2
+        assert f"{cfg_file}:2" in capsys.readouterr().err
+
+    def test_none_for_an_optional_field_reads_as_unset(self, tmp_path):
+        cfg_file = tmp_path / "none.cfg"
+        cfg_file.write_text("nodes = none\ntol =\nz = None\n")
+        cfg = ExperimentConfig.from_file(cfg_file)
+        assert cfg.nodes is None and cfg.tol is None and cfg.z is None
+
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         code = main(["stereo-project", "--out", str(tmp_path),
                      "--config", str(tmp_path / "missing.cfg")])
@@ -418,8 +451,7 @@ def _per_value_csv(header, columns) -> bytes:
 class TestCsvWriter:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(rows=st.sampled_from([0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
-                                 _CSV_BLOCK_ROWS + 1, 2001]),
+    @given(rows=st.sampled_from([0, 1, 255, 256, 257, 2001]),
            ncols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
            specials=st.lists(st.tuples(st.integers(0, 2**32 - 1),
                                        st.sampled_from(_SPECIAL_FLOATS)), max_size=16))

@@ -1,6 +1,8 @@
 """Factor-graph Gaussian variational inference: expectations, assembly,
 marginal extraction, and the sparse/dense route equivalence."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,20 @@ def polynomial_test_graph(n_vars: int, rng) -> FactorGraph:
     return FactorGraph(n_vars, tuple(factors))
 
 
+# Each builder's docstring formula as a residual e of s = x @ jac, with its
+# first two derivatives: phi = e^2 / (2 var), so d1 = e e' / var and
+# d2 = (e'^2 + e e'') / var.  Entries: builder, jac, and (s, **params) -> (e, e', e''),
+# whose parameter names are the builder's.
+KIND_RESIDUALS = {
+    "prior": (prior_factor, [1.0], lambda s, mean, var: (s - mean, 1.0, 0.0)),
+    "odom": (odom_factor, [-1.0, 1.0], lambda s, u, var: (s - u, 1.0, 0.0)),
+    "range": (range_factor, [-1.0, 1.0], lambda s, z, var, offset: (
+        z - np.hypot(s, offset), -s / np.hypot(s, offset), -offset**2 / np.hypot(s, offset)**3)),
+    "stereo": (stereo_factor, [1.0], lambda s, z, f, b, var: (
+        z - f * b / s, f * b / s**2, -2.0 * f * b / s**3)),
+}
+
+
 class TestFactorBasics:
     def test_indices_must_increase(self):
         with pytest.raises(ValueError):
@@ -78,6 +94,25 @@ class TestFactorBasics:
             from bayespace.elements import element_grad, element_hess
             assert np.allclose(f.grad(x), element_grad(elem, x), rtol=1e-5, atol=1e-6)
             assert np.allclose(f.hess(x), element_hess(elem, x), rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_RESIDUALS))
+    def test_kind_formulas_at_random_states(self, kind):
+        builder, jac, residual = KIND_RESIDUALS[kind]
+        jac = np.array(jac)
+        names = list(inspect.signature(residual).parameters)[1:]
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            params = dict(zip(names, rng.uniform(0.1, 4.0, len(names))))
+            f = builder(*range(jac.size), **params)
+            x = rng.uniform(0.5, 6.0, (7, jac.size))
+            s = x @ jac
+            e, de, d2e = residual(s, **params)
+            var = params["var"]
+            d1, d2 = e * de / var, (de**2 + e * d2e) / var
+            assert np.allclose(f.phi(x), 0.5 * e**2 / var, rtol=1e-10, atol=1e-12)
+            assert np.allclose(f.grad(x), d1[:, None] * jac, rtol=1e-10, atol=1e-12)
+            assert np.allclose(f.hess(x), d2[:, None, None] * np.outer(jac, jac),
+                               rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("num_vars, kind, indices, params", [
         (2, "prior", (0,), (float("nan"), 1.0)),

@@ -327,7 +327,10 @@ def inner_product(p: BayesElement, q: BayesElement, nu: MeasureLike,
     b = _phi_at(q, points)
     a = a - w @ a
     b = b - w @ b
-    return float(w @ (a * b))
+    value = float(w @ (a * b))
+    if not np.isfinite(value):
+        raise EvaluationFailure(f"inner product is not finite: {value}")
+    return value
 
 
 def information(p: BayesElement, nu: MeasureLike, spec: QuadratureSpec) -> float:

@@ -270,19 +270,12 @@ class GaussianState:
 # ---------------------------------------------------------------------------
 
 def _cholesky_stack(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of (k, k) marginal blocks.
+    """Lower Cholesky factors of an (F, k, k) stack of marginal blocks, k 1 or 2.
 
-    The 1x1 and 2x2 blocks factor marginals use are factored in closed form;
+    Closed form, for the batches only (:func:`factor_expectations` uses LAPACK);
     raises :class:`NonSPD` when any block is not positive-definite.
     """
     k = cov.shape[-1]
-    if k > 2:
-        try:
-            return np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            for block in cov:
-                cholesky_or_raise(block, "marginal covariance")
-            raise
     a = cov[:, 0, 0]
     if (a <= 0).any():
         raise NonSPD("marginal covariance is not positive", minor=1)
@@ -313,7 +306,7 @@ def factor_expectations(factor: Factor, marginal: Tuple[np.ndarray, np.ndarray],
     if k > _MAX_FACTOR_DIM:
         raise ValueError(f"factor support {k} exceeds the quadrature cap {_MAX_FACTOR_DIM}")
     xi, w = tensor_rule(spec.nodes_per_dim, k)
-    low = _cholesky_stack(np.atleast_2d(np.asarray(cov_k, dtype=float))[None])[0]
+    low = cholesky_or_raise(cov_k, "marginal covariance")
     x = np.asarray(mean_k, dtype=float) + xi @ low.T
     elem = factor.as_element()
     gv, hv = element_grad(elem, x), element_hess(elem, x)
@@ -330,14 +323,18 @@ def factor_expectations(factor: Factor, marginal: Tuple[np.ndarray, np.ndarray],
 
 def assemble(graph: FactorGraph, expectations: Sequence[Tuple[np.ndarray, np.ndarray]],
              ) -> Tuple[np.ndarray, np.ndarray]:
-    """Scatter per-factor (g_k, H_k) into the joint gradient and information."""
-    n = graph.num_vars
+    """Scatter one (k,) g_k and (k, k) H_k per factor into the joint gradient and information."""
+    n, factors = graph.num_vars, graph.factors
+    if len(expectations) != len(factors):
+        raise ValueError(f"{len(expectations)} expectations for {len(factors)} factors")
     g = np.zeros(n)
     h = np.zeros((n, n))
-    for f, (gk, hk) in zip(graph.factors, expectations):
+    for f, (gk, hk) in zip(factors, expectations):
+        k = f.arity
+        if np.shape(gk) != (k,) or np.shape(hk) != (k, k):
+            raise ValueError(f"factor {f.kind}{f.indices}: expected ({k},) and ({k}, {k}) "
+                             f"expectations, got {np.shape(gk)} and {np.shape(hk)}")
         idx = np.asarray(f.indices)
-        if idx.max(initial=-1) >= n:
-            raise ValueError("factor index out of range")
         g[idx] += gk
         h[np.ix_(idx, idx)] += hk
     return g, h

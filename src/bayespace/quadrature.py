@@ -83,14 +83,17 @@ def tensor_rule(n: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Hermite rule on R^dim: ((m, dim) nodes, (m,) weights)."""
     _check_budget(n, dim)
     nodes1, w1 = gauss_hermite_rule(n)
-    if dim == 1:
-        return nodes1.reshape(-1, 1), w1
-    grids = np.meshgrid(*([nodes1] * dim), indexing="ij")
+    return _tensor_product([nodes1] * dim, [w1] * dim)
+
+
+def _tensor_product(axes: Sequence[np.ndarray], weights: Sequence[np.ndarray]):
+    """Read-only (m, dim) nodes and (m,) weights of the product of 1-D rules."""
+    grids = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = functools.reduce(np.multiply.outer, [w1] * dim).ravel()
+    product = functools.reduce(np.multiply.outer, weights).ravel()
     nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    product.flags.writeable = False
+    return nodes, product
 
 
 def _check_budget(n: int, dim: int):
@@ -130,15 +133,7 @@ def trapezoid_points(spec: QuadratureSpec, dim: int) -> Tuple[np.ndarray, np.nda
             w[0] *= 0.5
             w[-1] *= 0.5
         ws.append(w)
-    if dim == 1:
-        points, weights = axes[0].reshape(-1, 1), ws[0]
-    else:
-        grids = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([g.ravel() for g in grids], axis=-1)
-        weights = functools.reduce(np.multiply.outer, ws).ravel()
-    points.flags.writeable = False
-    weights.flags.writeable = False
-    return points, weights
+    return _tensor_product(axes, ws)
 
 
 def measure_nodes(nu: GaussianMeasure, spec: QuadratureSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -150,7 +145,6 @@ def measure_nodes(nu: GaussianMeasure, spec: QuadratureSpec) -> Tuple[np.ndarray
     the density underflows on every node).
     """
     if spec.kind == GAUSS_HERMITE:
-        _check_budget(spec.nodes_per_dim, nu.dim)
         xi, w = tensor_rule(spec.nodes_per_dim, nu.dim)
         return nu.mean + xi @ nu.cholesky.T, w
     points, dx = trapezoid_points(bounded_grid(spec, nu), nu.dim)

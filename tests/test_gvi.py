@@ -230,6 +230,19 @@ class TestAssemble:
         assert np.abs(g - g_dense).max() < 1e-12
         assert np.abs(h - h_dense).max() < 1e-12
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ex: ex[:1], "1 expectations for 2 factors"),
+        (lambda ex: ex * 3, "6 expectations for 2 factors"),
+        (lambda ex: [ex[0], (ex[1][0][:1], ex[1][1])], r"factor odom\(0, 1\): expected"),
+        (lambda ex: [ex[0], (ex[1][0], ex[1][1][:1])], r"factor odom\(0, 1\): expected"),
+    ], ids=["too-few", "too-many", "short-gradient", "short-hessian"])
+    def test_rejects_expectations_that_do_not_fit_the_factors(self, edit, message):
+        graph = FactorGraph(2, (prior_factor(0, 0.0, 1.0), odom_factor(0, 1, 1.0, 0.5)))
+        ex = [factor_expectations(f, (np.zeros(f.arity), np.eye(f.arity)), SPEC)
+              for f in graph.factors]
+        with pytest.raises(ValueError, match=message):
+            assemble(graph, edit(ex))
+
 
 class TestMarginals:
     def test_diagonal_information(self):

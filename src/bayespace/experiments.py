@@ -107,7 +107,7 @@ class ExperimentConfig:
             if key not in fields:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                setattr(cfg, key, _coerce(key, value))
+                setattr(cfg, key, _coerce(value, str(fields[key].type)))
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: {key}: cannot read {value!r} "
                                   f"as {fields[key].type}") from None
@@ -117,19 +117,18 @@ class ExperimentConfig:
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _coerce(key: str, value: str):
-    kind = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}[key]
+def _coerce(value: str, kind: str):
     if value.lower() in ("none", ""):
-        if not str(kind).startswith("Optional["):
-            raise ValueError(f"{key} cannot be none")
+        if not kind.startswith("Optional["):
+            raise ValueError("cannot be none")
         return None
-    if "bool" in str(kind):
+    if "bool" in kind:
         if value.lower() not in _BOOLEANS:
             raise ValueError(f"not a boolean: {value!r}")
         return _BOOLEANS[value.lower()]
-    if "int" in str(kind):
+    if "int" in kind:
         return int(value)
-    if "float" in str(kind):
+    if "float" in kind:
         return float(value)
     return value
 
@@ -307,7 +306,7 @@ def run_stereo_iterate(cfg: ExperimentConfig) -> Dict:
         "non_monotone_kl": trace.non_monotone_kl,
         "kl_series": [float(v) for v in trace.kl],
         "final_mean": float(trace.gaussians[-1].mean_like[0]),
-        "final_variance": float(np.linalg.inv(trace.gaussians[-1].info)[0, 0]),
+        "final_variance": float(trace.covariances[-1][0, 0]),
     }
     _write_summary(out / "summary.json", summary)
     return summary
@@ -474,40 +473,31 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
     total = 0
     max_iterations = 0
     all_converged = True
-    first: Dict[str, object] = {}
     for trial in range(cfg.trials):
         graph, truth, init = make_chain(cfg, trial)
         tr_vi = _solve_chain(graph, init, cfg, cfg.nodes or 10, record_loss=(trial == 0))
         tr_map = _solve_chain(graph, init, cfg, 1, record_loss=(trial == 0))
         max_iterations = max(max_iterations, tr_vi.iterations)
         all_converged = all_converged and tr_vi.converged
+        columns = []  # mean, error and 3 sigma of each solver's estimate
         for name, tr in (("esgvi", tr_vi), ("map_gn", tr_map)):
             err = tr.coordinates[-1] - truth
-            sig = np.sqrt(np.diag(tr.measures[-1].covariance))
-            inside[name] += int(np.sum(np.abs(err) <= 3.0 * sig))
+            sigma3 = 3.0 * np.sqrt(np.diag(tr.covariances[-1]))
+            inside[name] += int(np.sum(np.abs(err) <= sigma3))
+            columns += [tr.coordinates[-1], err, sigma3]
         total += n
         if trial == 0:
-            first = {"graph": graph, "truth": truth,
-                     "esgvi": tr_vi, "map_gn": tr_map}
+            first = (graph, truth, tr_vi, tr_map, columns)
     runtime = time.perf_counter() - started
 
-    graph = first["graph"]
-    truth = first["truth"]
-    tr_vi: IterationTrace = first["esgvi"]
-    tr_map: IterationTrace = first["map_gn"]
+    graph, truth, tr_vi, tr_map, columns = first
     write_new_text(out / "graph.txt", dumps_graph(graph))
-
     kinds = ["pose"] * cfg.n_poses + ["landmark"] * cfg.n_landmarks
-    est_vi = tr_vi.coordinates[-1]
-    est_map = tr_map.coordinates[-1]
-    sig_vi = np.sqrt(np.diag(tr_vi.measures[-1].covariance))
-    sig_map = np.sqrt(np.diag(tr_map.measures[-1].covariance))
     _write_csv(out / "errors.csv",
                ["variable", "kind", "truth",
                 "esgvi_mean", "esgvi_error", "esgvi_sigma3",
                 "map_mean", "map_error", "map_sigma3"],
-               [range(n), kinds, truth, est_vi, est_vi - truth, 3.0 * sig_vi,
-                est_map, est_map - truth, 3.0 * sig_map])
+               [range(n), kinds, truth, *columns])
 
     iters = max(tr_vi.iterations, tr_map.iterations)
     _write_csv(out / "series.csv",

@@ -490,9 +490,9 @@ def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
         delta = inv_low.T @ (inv_low @ -g)
         mean = mean + delta
         sigma = inv_low.T @ inv_low
-        record = {"coordinates": mean.copy(),
-                  "measures": GaussianMeasure(mean, sigma),
-                  "gaussians": IndefGaussian(mean_like=mean.copy(), info=h, spd=True),
+        # the trace keeps mean and sigma as they are: no later step mutates them
+        record = {"coordinates": mean, "covariances": sigma,
+                  "gaussians": IndefGaussian(mean_like=mean, info=h, spd=True),
                   "step_norm": float(np.linalg.norm(delta))}
         if opts.record_loss:
             record["kl"] = loss - _entropy(low)

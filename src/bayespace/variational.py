@@ -15,9 +15,9 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from .elements import (BayesElement, MeasureLike, _grid_density, gaussian_element,
-                       inner_product, log_partition, moment_nodes, subtract)
-from .errors import (BayesSpaceError, MeasureInvalid, NotNormalizable, SingularGram,
-                     SingularInformation)
+                       information, log_partition, moment_nodes, subtract)
+from .errors import (BayesSpaceError, EvaluationFailure, MeasureInvalid, NotNormalizable,
+                     SingularGram, SingularInformation)
 from .gaussian import (_COND_LIMIT, GaussianBasis, IndefGaussian, gaussian_basis,
                        gaussian_coordinates, gaussian_from_coordinates,
                        project_to_gaussian)
@@ -269,24 +269,28 @@ class IterationTrace:
 
     Iteration k projects under estimate k-1 (the initial measure for k = 0)
     and produces estimate k; entry k of each list belongs to iteration k.
+    ``measures`` is rebuilt from ``gaussians`` and ``covariances`` on each access.
     A :class:`BayesSpaceError` that ends a run carries the trace as ``err.trace``.
     """
 
     coordinates: List[np.ndarray] = field(default_factory=list)  # estimate k; gvi: its mean
-    measures: List[GaussianMeasure] = field(default_factory=list)  # estimate k as a measure
     estimates: List[BayesElement] = field(default_factory=list)  # estimate k (iterate only)
     gaussians: List[IndefGaussian] = field(default_factory=list)  # estimate k, information form
+    covariances: List[np.ndarray] = field(default_factory=list)  # estimate k's covariance
     # KL(estimate k || p); gvi: E[phi] minus entropy of estimate k-1 (with record_loss)
     kl: List[float] = field(default_factory=list)
-    # half the squared norm of p - estimate k and of p - estimate k-1 under
-    # estimate k-1 (iterate only)
+    # half the squared norm of p - estimate k under estimate k-1 (iterate only)
     divergence: List[float] = field(default_factory=list)
-    divergence_before: List[float] = field(default_factory=list)
     step_norm: List[float] = field(default_factory=list)  # norm of iteration k's step
     converged: bool = False  # the last step norm fell below tol
     iterations: int = 0
     non_monotone_kl: bool = False  # some kl entry exceeds the one before it
     aborted: Optional[str] = None  # message of the error that ended the run
+
+    @property
+    def measures(self) -> List[GaussianMeasure]:
+        """Estimate k as a :class:`GaussianMeasure`, rebuilt on every access."""
+        return [GaussianMeasure(g.mean_like, c) for g, c in zip(self.gaussians, self.covariances)]
 
 
 def _drive(step: Callable, state, tol: float, max_iters: int) -> IterationTrace:
@@ -356,16 +360,16 @@ def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasu
                 log_zp = log_partition(p, kl_grid)
         except NotNormalizable as exc:
             raise NotNormalizable(f"estimate not normalizable: {exc}") from None
-        before, after = subtract(p, current), subtract(p, estimate)
+        if not np.isfinite(kl_value + log_zp):
+            raise EvaluationFailure(f"KL is not finite: {kl_value + log_zp}")
         next_measure = ig.to_measure()
         record = {
             "coordinates": np.asarray(alpha, dtype=float),
-            "measures": next_measure,
             "estimates": estimate,
             "gaussians": ig,
+            "covariances": next_measure.covariance,
             "step_norm": float(np.linalg.norm(delta)),
-            "divergence_before": 0.5 * inner_product(before, before, measure, quad),
-            "divergence": 0.5 * inner_product(after, after, measure, quad),
+            "divergence": information(subtract(p, estimate), measure, quad),
             "kl": kl_value + log_zp,
         }
         return (next_measure, estimate, log_zp), record

@@ -385,6 +385,8 @@ class TestCLI:
         ("hermite-iterate", "s2_r = 5e-324", 3),
         ("stereo-project", "informed_var = 1e300", 3),
         ("stereo-project", "s2_p = 1e154", 3),
+        ("stereo-iterate", "s2_p = 1e154", 3),
+        ("hermite-iterate", "s2_p = 1e154", 3),
     ])
     def test_config_values_that_break_the_model_exit_cleanly(self, tmp_path, capsys,
                                                               command, line, expected):

@@ -456,6 +456,9 @@ class TestChainSolves:
             measure = trace.measures[k]
             sigma = np.linalg.inv(trace.gaussians[k].info)
             assert np.abs(measure.covariance - sigma).max() <= 1e-12 * np.abs(sigma).max()
+            # the loop's route: the inverse of the information's Cholesky factor
+            low = np.linalg.cholesky(trace.gaussians[k].info)
+            assert np.array_equal(trace.covariances[k], gvi._covariance(low))
             assert np.array_equal(measure.mean, trace.coordinates[k])
             # loss = E[phi] under the previous estimate minus its entropy
             _, _, expected_phi = graph._expectations(prev.mean, prev.covariance, spec,
@@ -463,6 +466,18 @@ class TestChainSolves:
             entropy = 0.5 * n * (1.0 + np.log(2.0 * np.pi)) - 0.5 * np.linalg.slogdet(prev_info)[1]
             assert trace.kl[k] == pytest.approx(expected_phi - entropy, rel=1e-12)
             prev, prev_info = measure, trace.gaussians[k].info
+
+    @pytest.mark.parametrize("solve", [gvi_sparse_solve, gvi_dense_solve])
+    def test_solvers_build_no_measure(self, monkeypatch, solve):
+        # the chain-mc shape: 20 poses, 5 landmarks, nonlinear range factors
+        graph, truth, init = make_chain(ExperimentConfig(seed=11))
+        built = []
+        post_init = GaussianMeasure.__post_init__
+        monkeypatch.setattr(GaussianMeasure, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        trace = solve(graph, init, GviOptions())
+        assert built == []
+        assert trace.iterations > 2
 
     def test_one_information_factorization_per_iteration(self, monkeypatch):
         graph, truth, init = make_chain(ExperimentConfig(seed=11))

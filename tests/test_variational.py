@@ -1,5 +1,8 @@
 """Projection, KL derivatives in coordinates, FIM, and iterative projection."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,8 @@ from bayespace.hermite import HermiteBasis1D, hermite_poly, multivariate_basis, 
 from bayespace.measures import GaussianMeasure
 from bayespace.quadrature import gh_spec, grid_spec
 from bayespace.variational import (BasisSet, GaussianSubspace, HermiteSubspace,
-                                   IterateOptions, basis_projections, fim, gram,
-                                   iterate, kernel_apply, kl, kl_gradient,
+                                   IterateOptions, IterationTrace, basis_projections,
+                                   fim, gram, iterate, kernel_apply, kl, kl_gradient,
                                    kl_hessian, measure_derivative_ip, project,
                                    reconstruct_in_basis, reporting_grid, _solve_gram)
 
@@ -401,6 +404,12 @@ class TestIterate:
         assert calls == [grid.nodes_per_dim]
         assert value == kl(q, stereo.posterior, grid)
 
+    def test_trace_records_each_estimate_once(self):
+        stored = {f.name for f in dataclasses.fields(IterationTrace)}
+        assert {"coordinates", "gaussians", "covariances"} <= stored
+        assert not stored & {"measures", "divergence_before"}
+        assert isinstance(IterationTrace.measures, property)
+
     def test_measures_hold_each_estimate_as_a_measure(self, stereo):
         trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
                         IterateOptions(tol=0.0, max_iters=3,
@@ -409,6 +418,24 @@ class TestIterate:
         for measure, ig in zip(trace.measures, trace.gaussians):
             assert np.array_equal(measure.mean, ig.mean_like)
             assert np.array_equal(measure.covariance, ig.covariance())
+
+    @pytest.mark.parametrize("subspace", [GaussianSubspace(), HermiteSubspace(4)])
+    def test_one_inner_product_per_step(self, stereo, monkeypatch, subspace):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return inner_product(*args)
+
+        # replaced wherever a module looked the name up, as the bench tracer does
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bayespace") and hasattr(module, "inner_product"):
+                monkeypatch.setattr(module, "inner_product", counting)
+        trace = iterate(stereo.posterior, subspace, stereo.prior_measure,
+                        IterateOptions(tol=0.0, max_iters=3,
+                                       kl_grid=reporting_grid(stereo.prior_measure)))
+        assert trace.iterations == 3
+        assert len(calls) == 3
 
     def test_non_normalizable_target_raises_with_trace(self):
         # A Cauchy-like target: its Gaussian projection is fine, but it does
@@ -463,11 +490,15 @@ class TestIterate:
         assert newton.kl[-1] == pytest.approx(base.kl[-1], rel=1e-5)
 
     def test_divergence_not_increased_by_any_step(self, stereo):
+        # step k moves from estimate k-1 to estimate k, both measured under estimate k-1
+        nu = stereo.prior_measure
         for subspace in (GaussianSubspace(), HermiteSubspace(4)):
-            trace = iterate(stereo.posterior, subspace, stereo.prior_measure,
-                            IterateOptions(tol=0.0, max_iters=8,
-                                           kl_grid=reporting_grid(stereo.prior_measure)))
-            for before, after in zip(trace.divergence_before, trace.divergence):
+            opts = IterateOptions(tol=0.0, max_iters=8, kl_grid=reporting_grid(nu))
+            trace = iterate(stereo.posterior, subspace, nu, opts)
+            currents = [gaussian_element(nu.mean, nu.covariance), *trace.estimates[:-1]]
+            for current, measure, after in zip(currents, [nu, *trace.measures[:-1]],
+                                               trace.divergence):
+                before = information(subtract(stereo.posterior, current), measure, opts.quad)
                 assert after <= before + 1e-9
 
     def test_projection_update_routes_agree(self, stereo):

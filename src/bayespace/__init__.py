@@ -7,22 +7,21 @@ from .elements import (BayesElement, add, constant_element, divergence, equivale
 from .errors import (BayesSpaceError, ConfigError, DimensionMismatch,
                      EvaluationFailure, MeasureInvalid, NonSPD, NotNormalizable,
                      SingularGram, SingularInformation)
-from .gaussian import (GaussianBasis, IndefGaussian, expected_derivatives,
-                       gaussian_basis, gaussian_coordinates,
-                       gaussian_coordinates_direct, gaussian_from_coordinates,
-                       gaussian_information, project_to_gaussian)
+from .gaussian import (GaussianBasis, IndefGaussian, expected_derivatives, gaussian_basis,
+                       gaussian_coordinates, gaussian_from_coordinates, project_to_gaussian)
 from .gvi import (Factor, FactorGraph, GaussianState, GviOptions, assemble,
-                  factor_expectations, gvi_dense_solve, gvi_sparse_solve,
-                  gvi_step_dense, marginals_for_factors, odom_factor,
-                  prior_factor, range_factor, stereo_factor)
-from .hermite import (HermiteBasis1D, HermiteBasisND, basis_element, coordinates,
+                  factor_expectations, gvi_sparse_solve, marginals_for_factors,
+                  odom_factor, prior_factor, range_factor, stereo_factor)
+from .hermite import (HermiteBasis1D, HermiteBasisND, basis_element,
                       hermite_poly, multivariate_basis, reconstruct)
 from .matrixops import DuplicationOps, build_duplication, vec, vech, unvech
 from .measures import GaussianMeasure
-from .quadrature import QuadratureSpec, expect, gauss_hermite_rule, gh_spec, grid_spec, stein_check
-from .variational import (BasisSet, GaussianSubspace, HermiteSubspace,
-                          IterateOptions, IterationTrace, fim, gram, iterate,
-                          kernel_apply, kl, kl_gradient, kl_hessian,
-                          measure_derivative_ip, project, reporting_grid)
+from .oracles import (coordinates, coordinates_via_derivatives, fim,
+                      gaussian_coordinates_direct, gaussian_information, gvi_dense_solve,
+                      gvi_step_dense, joint_element, kernel_apply, kl_gradient,
+                      kl_hessian_fim, measure_derivative_ip, scale_by_function, stein_check)
+from .quadrature import QuadratureSpec, expect, gauss_hermite_rule, gh_spec, grid_spec
+from .variational import (BasisSet, GaussianSubspace, HermiteSubspace, IterateOptions,
+                          IterationTrace, gram, iterate, kl, kl_hessian, project, reporting_grid)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

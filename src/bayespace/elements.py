@@ -118,14 +118,6 @@ def subtract(p: BayesElement, q: BayesElement) -> BayesElement:
     return add(p, scale(-1.0, q))
 
 
-def scale_by_function(c: Callable[[np.ndarray], np.ndarray], p: BayesElement) -> BayesElement:
-    """Pointwise powering by a state-dependent coefficient: phi -> c(x) phi(x).
-
-    No derivative callbacks are composed; the result is only ever integrated.
-    """
-    return BayesElement(p.dim, lambda x, pp=p.phi: np.asarray(c(x)) * pp(x))
-
-
 def element_grad(p: BayesElement, x: np.ndarray) -> np.ndarray:
     """Gradient of phi at the batch ``x``; finite differences if needed."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -232,7 +224,8 @@ def _grid_density(p: BayesElement, spec: QuadratureSpec,
         raise ValueError("grid quadrature needs explicit bounds or a measure hint")
     spec = bounded_grid(spec, measure)
     points, dx = trapezoid_points(spec, p.dim)
-    phi = np.asarray(p.phi(points), dtype=float)
+    with np.errstate(divide="ignore"):  # a pole's +inf phi is zero density below
+        phi = np.asarray(p.phi(points), dtype=float)
     if np.isnan(phi).any():
         raise EvaluationFailure("phi returned NaN on the normalization grid")
     shift = phi.min()

@@ -14,11 +14,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .elements import (BayesElement, _quadratic_element, _row_elements, element_grad,
-                       element_hess, inner_product)
+from .elements import BayesElement, _quadratic_element, _row_elements, element_grad, element_hess
 from .errors import EvaluationFailure, SingularInformation
-from .matrixops import DuplicationOps, build_duplication, unvech, vec, vech, vech_indices
-from .measures import GaussianMeasure, cholesky_or_raise
+from .matrixops import DuplicationOps, build_duplication, unvech, vech, vech_indices
+from .measures import GaussianMeasure
 from .quadrature import QuadratureSpec, measure_nodes
 
 _COND_LIMIT = 1e12
@@ -114,15 +113,6 @@ def gaussian_coordinates(p: BayesElement, measure: GaussianMeasure,
     return alpha1, alpha2
 
 
-def gaussian_coordinates_direct(p: BayesElement, measure: GaussianMeasure,
-                                spec: QuadratureSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Same coordinates by explicit inner products against the basis functions."""
-    basis = gaussian_basis(measure)
-    n = measure.dim
-    coords = np.array([inner_product(b, p, measure, spec) for b in basis.elements])
-    return coords[:n], coords[n:]
-
-
 def project_to_gaussian(p: BayesElement, measure: GaussianMeasure,
                         spec: QuadratureSpec) -> IndefGaussian:
     """Orthogonal projection of p onto the indefinite-Gaussian subspace.
@@ -156,38 +146,3 @@ def gaussian_from_coordinates(alpha1: np.ndarray, alpha2: np.ndarray,
     mean_like = measure.mean - chol @ np.linalg.solve(s, np.asarray(alpha1, dtype=float))
     return IndefGaussian(mean_like=mean_like, info=info, spd=_is_spd(info))
 
-
-def gaussian_information(g: IndefGaussian, measure: GaussianMeasure,
-                         route: str = "coordinates") -> float:
-    """Information in a positive-definite Gaussian, conditioned on the measure.
-
-    Three algebraically identical routes are exposed: "coordinates" (half
-    the squared coordinate norm), "trace" (mean/trace quadratic forms), and
-    "natural" (quadratic form in the natural parameters).
-    """
-    if not g.spd:
-        raise SingularInformation("information requires a positive-definite Gaussian")
-    cholesky_or_raise(measure.covariance, "measure covariance")
-    mu, sigma = measure.mean, measure.covariance
-    info_p = g.info           # Sigma'^{-1}
-    dmu = mu - g.mean_like    # mu - mu'
-    if route == "coordinates":
-        chol = measure.cholesky
-        ops = build_duplication(measure.dim)
-        alpha1 = chol.T @ info_p @ dmu
-        alpha2 = ops.sqrt_half_dtd @ (ops.d_dagger @ vec(chol.T @ info_p @ chol))
-        return 0.5 * float(alpha1 @ alpha1 + alpha2 @ alpha2)
-    if route == "trace":
-        a = info_p @ sigma @ info_p
-        return 0.5 * float(dmu @ a @ dmu + 0.5 * np.trace(a @ sigma))
-    if route == "natural":
-        n = measure.dim
-        eye = np.eye(n)
-        theta = np.concatenate([info_p @ g.mean_like, vec(info_p)])
-        mu_kron = np.kron(mu[:, None], eye)          # (mu x 1): n^2 by n
-        top = np.hstack([sigma, -sigma @ mu_kron.T])
-        bottom = np.hstack([-mu_kron @ sigma,
-                            0.5 * np.kron(sigma, sigma) + mu_kron @ sigma @ mu_kron.T])
-        block = np.vstack([top, bottom])
-        return 0.5 * float(theta @ block @ theta)
-    raise ValueError(f"unknown route {route!r}")

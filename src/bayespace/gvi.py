@@ -8,10 +8,10 @@ information matrix's fill pattern.  Each iteration factors the information
 matrix once; that Cholesky factor gives the step, the covariance (a dense
 inverse, cheap at the sizes the experiments allow) and the entropy.  The
 sparse solver evaluates the built-in factor kinds in batches, one
-vectorized call per kind over all of its factors; other factors take the
-per-factor path (:func:`factor_expectations`, :func:`assemble`).  The
-dense solver runs every factor through that per-factor path and serves as
-the oracle for the batches.  A graph stores each built-in kind as arrays
+vectorized call per kind over all of its factors; other factors take
+:func:`factor_expectations` one at a time.  The dense oracle,
+``oracles.gvi_dense_solve``, runs every factor through that function and
+:func:`assemble`.  A graph stores each built-in kind as arrays
 (:class:`_Block`) and holds what its batches share: the gradient scatter
 index (the concatenated block indices its checks read), and the Hessian
 scatter index and read-only fill pattern, built on first use.  A graph
@@ -179,41 +179,6 @@ class FactorGraph:
         loss = float(np.add.accumulate(np.concatenate(values))[-1]) if with_value else None
         return g, h, loss
 
-    def joint_element(self) -> BayesElement:
-        """The full-dimensional sum of the factors (dense-route oracle)."""
-        n, factors = self.num_vars, self.factors
-
-        def phi(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape[0])
-            for f in factors:
-                out = out + f.phi(x[:, f.indices])
-            return out
-
-        # Entry-column adds: a factor's indices are distinct, so each entry
-        # takes one addition per factor, as a fancy-indexed add would give.
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for f in factors:
-                gk = element_grad(f.as_element(), x[:, f.indices])
-                for a, i in enumerate(f.indices):
-                    out[:, i] += gk[:, a]
-            return out
-
-        def hess(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros((x.shape[0], n, n))
-            for f in factors:
-                hk = element_hess(f.as_element(), x[:, f.indices])
-                for a, i in enumerate(f.indices):
-                    for b, j in enumerate(f.indices):
-                        out[:, i, j] += hk[:, a, b]
-            return out
-
-        return BayesElement(dim=n, phi=phi, grad=grad, hess=hess)
-
-
 def fill_pattern(graph: FactorGraph) -> np.ndarray:
     """Symbolic fill of the information matrix: union of factor index pairs.
 
@@ -258,6 +223,7 @@ class GaussianState:
     def dim(self) -> int:
         return self.mean.size
 
+    # covariance and to_measure are oracle-only; the bench tracer wraps to_measure here
     def covariance(self) -> np.ndarray:
         return _covariance(np.linalg.cholesky(self.info))
 
@@ -321,6 +287,7 @@ def factor_expectations(factor: Factor, marginal: Tuple[np.ndarray, np.ndarray],
     return g, h
 
 
+# Oracle-only; stays here because the bench tracer looks it up by name.
 def assemble(graph: FactorGraph, expectations: Sequence[Tuple[np.ndarray, np.ndarray]],
              ) -> Tuple[np.ndarray, np.ndarray]:
     """Scatter one (k,) g_k and (k, k) H_k per factor into the joint gradient and information."""
@@ -429,7 +396,7 @@ def _check_factors(blocks: Sequence[_Block]):
 
 
 # ---------------------------------------------------------------------------
-# Marginal extraction and the per-factor oracle
+# Marginal extraction: oracle-only, kept here for the bench tracer's by-name wrap
 # ---------------------------------------------------------------------------
 
 def _marginals(graph: FactorGraph, mean: np.ndarray,
@@ -443,16 +410,6 @@ def marginals_for_factors(state: GaussianState,
     """Mean and covariance block of each factor's variables, read from the
     full inverse of the information matrix."""
     return _marginals(graph, state.mean, state.covariance())
-
-
-def _per_factor_expectations(graph: FactorGraph, mean: np.ndarray, sigma: np.ndarray,
-                             spec: QuadratureSpec, with_value: bool):
-    """The oracle for :meth:`FactorGraph._expectations`: each factor's marginal,
-    :func:`factor_expectations`, then :func:`assemble`."""
-    outs = [factor_expectations(f, marginal, spec, with_value)
-            for f, marginal in zip(graph.factors, _marginals(graph, mean, sigma))]
-    g, h = assemble(graph, [out[:2] for out in outs])
-    return g, h, (sum(out[2] for out in outs) if with_value else None)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +453,8 @@ def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
                   "step_norm": float(np.linalg.norm(delta))}
         if opts.record_loss:
             record["kl"] = loss - _entropy(low)
+        if not np.isfinite([record["step_norm"], record.get("kl", 0.0)]).all():
+            raise EvaluationFailure("GVI step or loss is not finite")
         return (mean, sigma, new_low), record
 
     return _drive(step, (init.mean, _covariance(low), low), opts.tol, opts.max_iters)
@@ -506,28 +465,6 @@ def gvi_sparse_solve(graph: FactorGraph, init: GaussianState,
     """Factor-decomposed Gaussian iterative projection (exactly sparse route):
     expectations batched per factor kind, reading only blocks inside the fill."""
     return _gvi_loop(graph, init, opts or GviOptions(), graph._expectations)
-
-
-def gvi_dense_solve(graph: FactorGraph, init: GaussianState,
-                    opts: Optional[GviOptions] = None) -> IterationTrace:
-    """Same iteration with per-factor expectations; oracle for the batches."""
-    return _gvi_loop(graph, init, opts or GviOptions(),
-                     functools.partial(_per_factor_expectations, graph))
-
-
-def gvi_step_dense(p: BayesElement, state: GaussianState,
-                   spec: QuadratureSpec) -> GaussianState:
-    """One Gaussian update from full-dimensional expectations of the joint phi.
-
-    info+ = E_q[d^2 phi], info+ (mean+ - mean) = -E_q[d phi].
-    """
-    from .gaussian import expected_derivatives
-
-    measure = state.to_measure()
-    g, h = expected_derivatives(p, measure, spec)
-    low = cholesky_or_raise(h, "updated information")
-    dmu = np.linalg.solve(low.T, np.linalg.solve(low, -g))
-    return GaussianState(state.mean + dmu, h, np.ones_like(h, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .elements import BayesElement, _row_elements, element_grad, element_hess
+from .elements import BayesElement, _row_elements
 from .measures import GaussianMeasure
-from .quadrature import QuadratureSpec, measure_nodes
 
 _MAX_ND_ORDER = 3
 _MAX_ND_DIM = 3
@@ -96,53 +95,6 @@ def basis_element(n: int, basis: HermiteBasis1D) -> BayesElement:
     if not 1 <= n <= basis.order:
         raise ValueError(f"order {n} outside basis range 1..{basis.order}")
     return basis.elements[n - 1]
-
-
-def coordinates(p: BayesElement, basis: HermiteBasis1D, spec: QuadratureSpec) -> np.ndarray:
-    """Fourier coefficients alpha_n = <h_n, p> under the basis measure.
-
-    The basis is orthonormal so no Gram solve is needed; this is the
-    derivative-free route.
-    """
-    if p.dim != 1:
-        raise ValueError("Hermite coordinates are one-dimensional here")
-    points, w = measure_nodes(basis.measure, spec)
-    phi = np.asarray(p.phi(points), dtype=float)
-    # centering phi makes the covariance exact under the discrete rule even
-    # if the quadrature means of H_n are not identically zero
-    phi = phi - w @ phi
-    return basis.phi_matrix(points) @ (w * phi)
-
-
-def coordinates_via_derivatives(p: BayesElement, basis: HermiteBasis1D,
-                                spec: QuadratureSpec) -> np.ndarray:
-    """Cross-check route: alpha_n = sigma^n/sqrt(n!) E[d^n phi / dx^n].
-
-    Orders three and four difference the (analytic or fallback) Hessian;
-    higher orders are not supported.
-    """
-    if basis.order > 4:
-        raise ValueError("derivative route supported for orders up to 4")
-    points, w = measure_nodes(basis.measure, spec)
-    sigma, roots = basis.sigma, basis.roots
-    out = np.empty(basis.order)
-    g = element_grad(p, points)[:, 0]
-    out[0] = sigma * (w @ g)
-    if basis.order >= 2:
-        h = element_hess(p, points)[:, 0, 0]
-        out[1] = sigma**2 / roots[1] * (w @ h)
-    if basis.order >= 3:
-        step = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(points))
-        d3 = (element_hess(p, points + step)[:, 0, 0]
-              - element_hess(p, points - step)[:, 0, 0]) / (2 * step[:, 0])
-        out[2] = sigma**3 / roots[2] * (w @ d3)
-    if basis.order >= 4:
-        step = np.finfo(float).eps ** 0.25 * np.maximum(1.0, np.abs(points))
-        h0 = element_hess(p, points)[:, 0, 0]
-        d4 = (element_hess(p, points + step)[:, 0, 0] - 2 * h0
-              + element_hess(p, points - step)[:, 0, 0]) / step[:, 0]**2
-        out[3] = sigma**4 / roots[3] * (w @ d4)
-    return out
 
 
 def reconstruct(alpha: Sequence[float], basis: HermiteBasis1D) -> BayesElement:

@@ -168,40 +168,3 @@ def expect(f: Callable[[np.ndarray], np.ndarray], nu: GaussianMeasure,
         raise EvaluationFailure(f"integrand not finite at node {where}", node=where)
     return float(w @ values)
 
-
-def _fd_nth_derivative(f, n: int):
-    """Central-difference n-th derivative of a scalar vectorized function."""
-    # Step tuned per order so truncation and roundoff errors balance.
-    h = np.finfo(float).eps ** (1.0 / (n + 2))
-
-    def deriv(x):
-        x = np.asarray(x, dtype=float)
-        if n == 1:
-            return (f(x + h) - f(x - h)) / (2 * h)
-        if n == 2:
-            return (f(x + h) - 2 * f(x) + f(x - h)) / h**2
-        if n == 3:
-            return (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (2 * h**3)
-        if n == 4:
-            return (f(x + 2 * h) - 4 * f(x + h) + 6 * f(x) - 4 * f(x - h) + f(x - 2 * h)) / h**4
-        raise ValueError("finite-difference derivatives supported up to order 4")
-
-    return deriv
-
-
-def stein_check(f: Callable[[np.ndarray], np.ndarray], n: int,
-                spec: QuadratureSpec,
-                deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                ) -> Tuple[float, float]:
-    """Both sides of E[H_n(xi) f(xi)] = E[d^n f / d xi^n] under N(0,1).
-
-    Returns (lhs, rhs) for the caller to compare.  ``deriv`` may supply the
-    exact n-th derivative; otherwise central differences are used (n <= 4).
-    """
-    from .hermite import hermite_poly  # local import; hermite depends on us
-
-    nu = GaussianMeasure(np.zeros(1), np.eye(1))
-    lhs = expect(lambda x: hermite_poly(n, x[:, 0]) * f(x[:, 0]), nu, spec)
-    dn = deriv if deriv is not None else _fd_nth_derivative(f, n)
-    rhs = expect(lambda x: dn(x[:, 0]), nu, spec)
-    return lhs, rhs

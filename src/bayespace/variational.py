@@ -90,16 +90,6 @@ def reconstruct_in_basis(alpha: Sequence[float], basis) -> BayesElement:
     return BayesElement(dim=basis.measure.dim, phi=lambda x: alpha @ basis.phi_matrix(x))
 
 
-def kernel_apply(basis, nu: MeasureLike, p: BayesElement,
-                 spec: QuadratureSpec) -> BayesElement:
-    """Apply the subspace kernel b > <b,b>^{-1} < b to p.
-
-    The outer-product route: identical element to reconstructing the
-    projected coordinates.
-    """
-    return reconstruct_in_basis(project(p, basis, nu, spec), basis)
-
-
 # ---------------------------------------------------------------------------
 # KL divergence and its derivatives in coordinates
 # ---------------------------------------------------------------------------
@@ -124,7 +114,8 @@ def kl(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
     if normalize_target:
         _, phi_p, _, log_zp = _grid_density(p, spec)
     else:
-        phi_p = np.asarray(p.phi(points), dtype=float)
+        with np.errstate(divide="ignore"):  # a pole's +inf phi is dropped below
+            phi_p = np.asarray(p.phi(points), dtype=float)
     t = phi_p - phi_q
     # Isolated +inf target values carry no mass where qhat has underflowed.
     bad = ~np.isfinite(t)
@@ -146,71 +137,19 @@ def _qhat_context(alpha, basis, spec):
     return points, phi_q, w, log_zq, phi, phi @ w
 
 
-def kl_gradient(alpha: Coordinates, basis, p: BayesElement,
-                spec: QuadratureSpec) -> np.ndarray:
-    """Gradient of KL over the coordinates: -<b, p (-) q>_q."""
+def kl_hessian(alpha: Coordinates, basis, p: BayesElement, spec: QuadratureSpec) -> np.ndarray:
+    """Hessian of KL over the coordinates, exactly symmetric: Gram +
+    <-b_mn + E[ln b_n] b_m + E[ln b_m] b_n, p(-)q> with b_mn = exp(ln b_m ln b_n)."""
     points, phi_q, w, _, phi, means = _qhat_context(alpha, basis, spec)
-    centered = phi - means[:, None]
-    t = np.asarray(p.phi(points), dtype=float) - phi_q
-    t = t - w @ t
-    return -(centered @ (w * t))
-
-
-def kl_hessian(alpha: Coordinates, basis, p: BayesElement, spec: QuadratureSpec,
-               form: str = "explicit") -> np.ndarray:
-    """Hessian of KL over the coordinates; two algebraic forms are exposed.
-
-    "explicit" assembles Gram + <-b_mn + E[ln b_n] b_m + E[ln b_m] b_n, p(-)q>
-    with b_mn = exp(ln b_m ln b_n); "fim" assembles (1 - KL) Gram minus the
-    measure-derivative term.  Both are exactly symmetric.
-    """
-    points, phi_q, w, log_zq, phi, means = _qhat_context(alpha, basis, spec)
     centered = phi - means[:, None]
     g = (centered * w) @ centered.T
     g = 0.5 * (g + g.T)
     t = np.asarray(p.phi(points), dtype=float) - phi_q
-    if form == "explicit":
-        tc = t - w @ t
-        m1 = (phi * (w * tc)) @ phi.T
-        v = phi @ (w * tc)
-        h = g + m1 - np.outer(v, means) - np.outer(means, v)
-        return 0.5 * (h + h.T)
-    if form == "fim":
-        kl_raw = float(w @ t) - log_zq
-        t_norm = t - log_zq  # p (-) q with q's phi normalized
-        s = -((centered * (w * t_norm)) @ centered.T)
-        h = (1.0 - kl_raw) * g - s
-        return 0.5 * (h + h.T)
-    raise ValueError(f"unknown Hessian form {form!r}")
-
-
-def measure_derivative_ip(p: BayesElement, q: BayesElement, basis,
-                          alpha: Coordinates, n: int,
-                          spec: QuadratureSpec) -> float:
-    """d/d alpha_n of <p, q>_nu with nu the normalized element at ``alpha``.
-
-    Equals <p, (d ln nu/d alpha_n) . q>_nu - E_nu[ln q] <b_n, p>_nu; the
-    coefficient is a state function and cannot be moved across the inner
-    product.
-    """
-    points, _, w, _, phi, means = _qhat_context(alpha, basis, spec)
-    c = -(phi[n] - means[n])
-    phi_p = np.asarray(p.phi(points), dtype=float)
-    phi_q = np.asarray(q.phi(points), dtype=float)
-
-    def cov(a, b):
-        return float(((a - w @ a) * w) @ (b - w @ b))
-
-    term1 = cov(phi_p, c * phi_q)
-    term2 = (-(w @ phi_q)) * cov(phi[n], phi_p)
-    return term1 - term2
-
-
-def fim(basis, nu: MeasureLike, dalpha_dtheta: np.ndarray,
-        spec: QuadratureSpec) -> np.ndarray:
-    """Fisher information for parameters theta: J^T <b,b> J."""
-    j = np.atleast_2d(np.asarray(dalpha_dtheta, dtype=float))
-    return j.T @ gram(basis, nu, spec) @ j
+    tc = t - w @ t
+    m1 = (phi * (w * tc)) @ phi.T
+    v = phi @ (w * tc)
+    h = g + m1 - np.outer(v, means) - np.outer(means, v)
+    return 0.5 * (h + h.T)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,7 +175,8 @@ class TestHermiteSweep:
         from bayespace.gaussian import gaussian_basis, project_to_gaussian
         from bayespace.hermite import HermiteBasis1D
         from bayespace.quadrature import gh_spec
-        from bayespace.variational import kernel_apply, reporting_grid
+        from bayespace.oracles import kernel_apply
+        from bayespace.variational import reporting_grid
 
         # same span, same measure, same quadrature: identical projections
         quad = stereo.sweep_grid()
@@ -387,6 +390,7 @@ class TestCLI:
         ("stereo-project", "s2_p = 1e154", 3),
         ("stereo-iterate", "s2_p = 1e154", 3),
         ("hermite-iterate", "s2_p = 1e154", 3),
+        ("gvi-demo", "range_sigma = 1e154", 3),
     ])
     def test_config_values_that_break_the_model_exit_cleanly(self, tmp_path, capsys,
                                                               command, line, expected):
@@ -401,6 +405,17 @@ class TestCLI:
             assert "configuration error" in captured.err
         else:
             assert json.loads(captured.out)["error"] == "EvaluationFailure"
+
+    def test_grid_node_on_the_stereo_pole_warns_nothing(self, tmp_path):
+        """With mu_p = 3 a density-grid node lands exactly on the pole x = 0;
+        its +inf phi counts as zero density, without a numpy warning."""
+        cfg_file = tmp_path / "pole.cfg"
+        cfg_file.write_text("mu_p = 3.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["stereo-project", "--out", str(tmp_path / "out"),
+                         "--config", str(cfg_file)])
+        assert code == 0
 
 
 _FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)
@@ -421,19 +436,42 @@ _ARGV_TOKENS = ["--seed", "-1", "--nodes", "abc", "--tol", "nan", "--basis", "7"
        extra=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=3))
 def test_cli_exits_only_with_documented_codes(tmp_path, capsys, monkeypatch, command,
                                               values, extra):
-    """Whatever a config file or argv holds, bh exits 0, 2 or 3, never with a traceback."""
-    monkeypatch.chdir(tmp_path)  # a relative --out from the argv tokens lands here
-    cfg_file = tmp_path / "fuzz.cfg"
+    """Whatever a config file or argv holds, bh exits 0, 2 or 3, never with a
+    traceback; a run that exits 0 writes only finite numbers."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))  # examples share tmp_path
+    monkeypatch.chdir(work)  # a relative --out from the argv tokens lands here
+    cfg_file = work / "fuzz.cfg"
     cfg_file.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
-    argv = [command, "--out", str(tmp_path / "out"), "--max-iters", "5",
+    argv = [command, "--out", str(work / "out"), "--max-iters", "5",
             "--config", str(cfg_file), *extra]
+    ran = False
     try:
         with np.errstate(all="ignore"):
             code = main(argv)
+        ran = True
     except SystemExit as exit_:  # argparse rejects the argv, or --help
         code = exit_.code
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert code in (0, 2, 3)
+    if ran and code == 0:
+        _assert_finite_outputs(work / captured.out.rsplit(" outputs in ", 1)[1].strip())
+
+
+def _assert_finite_outputs(out: Path):
+    """summary.json parses strictly, and every CSV cell is a finite float, an
+    empty padding cell or a text label."""
+    def reject(constant):
+        raise AssertionError(f"summary.json holds {constant}")
+
+    json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    for path in out.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:  # empty padding or a text label
+                    continue
+                assert np.isfinite(value), f"{path.name}: {cell!r}"
 
 
 # Values where repr changes form (exponent switch points and their

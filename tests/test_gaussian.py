@@ -6,11 +6,11 @@ import pytest
 from bayespace.elements import BayesElement, constant_element, equivalent, gaussian_element
 from bayespace.errors import SingularInformation
 from bayespace.gaussian import (IndefGaussian, gaussian_basis, gaussian_coordinates,
-                                gaussian_coordinates_direct, gaussian_from_coordinates,
-                                gaussian_information, project_to_gaussian)
+                                gaussian_from_coordinates, project_to_gaussian)
 from bayespace.hermite import HermiteBasis1D, basis_element
 from bayespace.matrixops import build_duplication, vech
 from bayespace.measures import GaussianMeasure
+from bayespace.oracles import gaussian_coordinates_direct, gaussian_information
 from bayespace.quadrature import gh_spec
 from bayespace.variational import gram
 

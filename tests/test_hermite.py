@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bayespace.elements import equivalent, gaussian_element, information, normalize, subtract
-from bayespace.hermite import (HermiteBasis1D, basis_element, coordinates,
-                               coordinates_via_derivatives, hermite_poly,
-                               multivariate_basis, reconstruct)
+from bayespace.hermite import (HermiteBasis1D, basis_element, hermite_poly, multivariate_basis,
+                               reconstruct)
 from bayespace.measures import GaussianMeasure
+from bayespace.oracles import coordinates, coordinates_via_derivatives
 from bayespace.quadrature import gh_spec, grid_spec
 from bayespace.variational import gram
 

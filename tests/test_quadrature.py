@@ -6,8 +6,9 @@ import pytest
 from bayespace.errors import EvaluationFailure, NotNormalizable
 from bayespace.hermite import hermite_poly
 from bayespace.measures import GaussianMeasure
+from bayespace.oracles import stein_check
 from bayespace.quadrature import (expect, gauss_hermite_rule, gh_spec, grid_spec,
-                                  measure_nodes, stein_check, tensor_rule, trapezoid_points)
+                                  measure_nodes, tensor_rule, trapezoid_points)
 
 
 def std_normal_moment(k: int) -> float:

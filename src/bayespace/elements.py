@@ -15,7 +15,6 @@ when they are absent.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EvaluationFailure, NotNormalizable
 from .measures import GaussianMeasure
-from .quadrature import (GRID, QuadratureSpec, bounded_grid, measure_nodes, tensor_rule,
+from .quadrature import (GRID, QuadratureSpec, bounded_grid, grid_faces, measure_nodes,
                          trapezoid_points)
 
 _FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)      # first derivatives
@@ -195,21 +194,6 @@ def stochastic_derivative(family: Callable[[float], BayesElement],
 # Normalization and inner products
 # ---------------------------------------------------------------------------
 
-def _grid_boundary_mask(points: np.ndarray, bounds) -> np.ndarray:
-    mask = np.zeros(points.shape[0], dtype=bool)
-    for d, (lo, hi) in enumerate(bounds):
-        mask |= np.isclose(points[:, d], lo) | np.isclose(points[:, d], hi)
-    return mask
-
-
-@functools.lru_cache(maxsize=16)
-def _grid_edge(spec: QuadratureSpec, dim: int) -> np.ndarray:
-    """The boundary mask of ``trapezoid_points(spec, dim)``, built once (read-only)."""
-    mask = _grid_boundary_mask(trapezoid_points(spec, dim)[0], spec.grid_bounds)
-    mask.flags.writeable = False
-    return mask
-
-
 def _grid_density(p: BayesElement, spec: QuadratureSpec,
                   measure: Optional[GaussianMeasure] = None):
     """p normalized on a trapezoid grid: (points, phi, weights, log Z).
@@ -217,7 +201,7 @@ def _grid_density(p: BayesElement, spec: QuadratureSpec,
     ``weights`` are the probability weights exp(-phi) dx / Z of the grid
     nodes.  Raises :class:`EvaluationFailure` when phi is NaN and
     :class:`NotNormalizable` when the density does not decay at the grid's
-    edge or its integral is not finite.  A grid without bounds takes the
+    faces or its integral is not finite.  A grid without bounds takes the
     default bounds of ``measure``.
     """
     if spec.grid_bounds is None and measure is None:
@@ -229,9 +213,11 @@ def _grid_density(p: BayesElement, spec: QuadratureSpec,
     if np.isnan(phi).any():
         raise EvaluationFailure("phi returned NaN on the normalization grid")
     shift = phi.min()
+    if not np.isfinite(shift):  # -inf somewhere, or +inf everywhere
+        raise NotNormalizable("normalization integral is not finite")
     dens = np.exp(-(phi - shift))
-    edge = _grid_edge(spec, p.dim)
-    if dens[edge].max(initial=0.0) > _EDGE_DECAY_GRID * dens.max():
+    edge = grid_faces(spec.nodes_per_dim, p.dim)
+    if dens[edge].max() > _EDGE_DECAY_GRID * dens.max():
         raise NotNormalizable("density does not decay at the domain boundary")
     total = float(dx @ dens)
     if not np.isfinite(total) or total <= 0.0:
@@ -252,7 +238,6 @@ def log_partition(p: BayesElement, spec: QuadratureSpec,
     if measure is None:
         raise ValueError("Gauss-Hermite normalization needs a reference measure")
     points, w = measure_nodes(measure, spec)
-    xi, _ = tensor_rule(spec.nodes_per_dim, measure.dim)
     exponents = -np.asarray(p.phi(points), dtype=float) - measure.log_density(points)
     if np.isnan(exponents).any():
         raise EvaluationFailure("phi returned NaN at a quadrature node")
@@ -261,8 +246,7 @@ def log_partition(p: BayesElement, spec: QuadratureSpec,
     total = contrib.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise NotNormalizable("normalization integral is not finite")
-    edge = np.any(np.abs(xi) >= np.abs(xi).max(), axis=1)
-    if contrib[edge].sum() > _EDGE_SHARE_GH * total:
+    if contrib[grid_faces(spec.nodes_per_dim, measure.dim)].sum() > _EDGE_SHARE_GH * total:
         raise NotNormalizable("extreme quadrature nodes dominate the integral")
     return float(np.log(total) + shift)
 

@@ -27,7 +27,8 @@ from .gvi import (FactorGraph, GaussianState, GviOptions, fill_pattern,
                   gvi_sparse_solve, stereo_factor)
 from .hermite import HermiteBasis1D, reconstruct
 from .measures import GaussianMeasure
-from .quadrature import QuadratureSpec, default_grid_bounds, gh_spec, grid_spec
+from .quadrature import (QuadratureSpec, default_grid_bounds, gh_spec, grid_spec,
+                         trapezoid_points)
 from .variational import (GaussianSubspace, HermiteSubspace, IterateOptions,
                           IterationTrace, iterate, kl, project)
 
@@ -77,9 +78,13 @@ class ExperimentConfig:
             (1 <= self.trials <= 10000, "trials must be in 1..10000"),
             (2 <= self.n_poses <= 100, "n_poses must be in 2..100"),
             (0 <= self.n_landmarks <= 20, "n_landmarks must be in 0..20"),
-            (self.prior_sigma > 0 and self.odom_sigma > 0 and self.range_sigma > 0,
-             "chain noise scales must be positive"),
-            (self.range_offset > 0, "range_offset must be positive"),
+            *((0 < sigma and 0 < sigma * sigma < np.inf,
+               f"{name} must be positive, and its square positive and finite")
+              for name, sigma in (("prior_sigma", self.prior_sigma),
+                                  ("odom_sigma", self.odom_sigma),
+                                  ("range_sigma", self.range_sigma))),
+            (0 < self.range_offset and self.range_offset * self.range_offset < np.inf,
+             "range_offset must be positive, and its square finite"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -181,10 +186,7 @@ class StereoProblem:
     measurement: BayesElement
     posterior: BayesElement
     prior_measure: GaussianMeasure
-
-    @property
-    def density_grid(self) -> QuadratureSpec:
-        return _config_grid(DENSITY_GRID_POINTS, default_grid_bounds(self.prior_measure))
+    density_grid: QuadratureSpec
 
     def sweep_grid(self) -> QuadratureSpec:
         """Trapezoid rule truncated 6 sigma around the prior, clear of the pole."""
@@ -219,15 +221,28 @@ def make_stereo(cfg: ExperimentConfig) -> StereoProblem:
         raise ConfigError(f"stereo measurement: {err}") from None
     prior = gaussian_element([cfg.mu_p], [[cfg.s2_p]])
     measurement = factor.as_element()
+    prior_measure = GaussianMeasure([cfg.mu_p], [[cfg.s2_p]])
     return StereoProblem(
         config=cfg, z=z, x_true=x_true, prior=prior, measurement=measurement,
-        posterior=add(prior, measurement),
-        prior_measure=GaussianMeasure([cfg.mu_p], [[cfg.s2_p]]))
+        posterior=add(prior, measurement), prior_measure=prior_measure,
+        density_grid=_config_grid(DENSITY_GRID_POINTS, default_grid_bounds(prior_measure)))
 
 
 def _density_column(elem: BayesElement, spec: QuadratureSpec) -> np.ndarray:
     _, phi, _, log_z = _grid_density(elem, spec)
     return np.exp(-phi - log_z)
+
+
+def _write_stereo(out: Path, problem: StereoProblem, experiment: str,
+                  columns: Dict[str, np.ndarray], fields: Dict) -> Dict:
+    """Write a stereo run's ``densities.csv`` (x, then ``columns``) and its
+    ``summary.json`` (experiment, config, z, then ``fields``); return the summary."""
+    x = trapezoid_points(problem.density_grid, 1)[0][:, 0]
+    _write_csv(out / "densities.csv", ["x", *columns], [x, *columns.values()])
+    summary = {"experiment": experiment, "config": dataclasses.asdict(problem.config),
+               "z": problem.z, **fields}
+    _write_summary(out / "summary.json", summary)
+    return summary
 
 
 def run_stereo_project(cfg: ExperimentConfig) -> Dict:
@@ -236,8 +251,6 @@ def run_stereo_project(cfg: ExperimentConfig) -> Dict:
     problem = make_stereo(cfg)
     quad = gh_spec(cfg.nodes or 20)
     grid = problem.density_grid
-    points = np.linspace(*grid.grid_bounds[0], grid.nodes_per_dim)
-
     measures = {
         "prior_measure": problem.prior_measure,
         "informed_measure": GaussianMeasure([cfg.informed_mean], [[cfg.informed_var]]),
@@ -246,9 +259,7 @@ def run_stereo_project(cfg: ExperimentConfig) -> Dict:
         "prior": _density_column(problem.prior, grid),
         "posterior": _density_column(problem.posterior, grid),
     }
-    scalars: Dict[str, float] = {"z": problem.z}
-    if problem.x_true is not None:
-        scalars["x_true"] = problem.x_true
+    scalars: Dict[str, float] = {} if problem.x_true is None else {"x_true": problem.x_true}
     not_normalizable: List[str] = []
     for name, nu in measures.items():
         proj = project_to_gaussian(problem.posterior, nu, quad)
@@ -262,12 +273,8 @@ def run_stereo_project(cfg: ExperimentConfig) -> Dict:
             subtract(problem.posterior, q), nu, problem.sweep_grid())
         scalars[f"mean_{name}"] = float(proj.mean_like[0])
         scalars[f"variance_{name}"] = float(1.0 / proj.info[0, 0])
-
-    _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
-    summary = {"experiment": "stereo-project", "config": dataclasses.asdict(cfg), **scalars,
-               "not_normalizable_measures": not_normalizable}
-    _write_summary(out / "summary.json", summary)
-    return summary
+    return _write_stereo(out, problem, "stereo-project", columns,
+                         {**scalars, "not_normalizable_measures": not_normalizable})
 
 
 def _run_stereo_iteration(problem: StereoProblem, subspace, cfg: ExperimentConfig,
@@ -287,29 +294,22 @@ def run_stereo_iterate(cfg: ExperimentConfig) -> Dict:
     trace = _run_stereo_iteration(problem, GaussianSubspace(), cfg)
 
     grid = problem.density_grid
-    points = np.linspace(*grid.grid_bounds[0], grid.nodes_per_dim)
     columns = {"posterior": _density_column(problem.posterior, grid)}
     columns["iter_0"] = _density_column(problem.prior, grid)
     for i, est in enumerate(trace.estimates, start=1):
         columns[f"iter_{i}"] = _density_column(est, grid)
-    _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
     _write_csv(out / "series.csv",
                ["iteration", "kl", "divergence", "step_norm"],
                [range(1, trace.iterations + 1), trace.kl, trace.divergence,
                 trace.step_norm])
-    summary = {
-        "experiment": "stereo-iterate",
-        "config": dataclasses.asdict(cfg),
-        "z": problem.z,
+    return _write_stereo(out, problem, "stereo-iterate", columns, {
         "iterations": trace.iterations,
         "converged": trace.converged,
         "non_monotone_kl": trace.non_monotone_kl,
         "kl_series": [float(v) for v in trace.kl],
         "final_mean": float(trace.gaussians[-1].mean_like[0]),
         "final_variance": float(trace.covariances[-1][0, 0]),
-    }
-    _write_summary(out / "summary.json", summary)
-    return summary
+    })
 
 
 def run_hermite_sweep(cfg: ExperimentConfig) -> Dict:
@@ -324,7 +324,6 @@ def run_hermite_sweep(cfg: ExperimentConfig) -> Dict:
     problem = make_stereo(cfg)
     sweep_quad = problem.sweep_grid()
     grid = problem.density_grid
-    points = np.linspace(*grid.grid_bounds[0], grid.nodes_per_dim)
 
     orders = list(range(2, (cfg.basis or 6) + 1))
     columns = {"posterior": _density_column(problem.posterior, grid)}
@@ -343,18 +342,12 @@ def run_hermite_sweep(cfg: ExperimentConfig) -> Dict:
 
     _write_csv(out / "divergence.csv", ["basis_functions", "divergence"],
                [orders, divergences])
-    _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
-    summary = {
-        "experiment": "hermite-sweep",
-        "config": dataclasses.asdict(cfg),
-        "z": problem.z,
+    return _write_stereo(out, problem, "hermite-sweep", columns, {
         "orders": orders,
         "divergence": [float(v) for v in divergences],
         "strictly_decreasing": bool(np.all(np.diff(divergences) < 0)),
         "not_normalizable_orders": not_normalizable,
-    }
-    _write_summary(out / "summary.json", summary)
-    return summary
+    })
 
 
 def run_hermite_iterate(cfg: ExperimentConfig) -> Dict:
@@ -371,28 +364,21 @@ def run_hermite_iterate(cfg: ExperimentConfig) -> Dict:
     trace_m = _run_stereo_iteration(problem, HermiteSubspace(order), cfg)
 
     grid = problem.density_grid
-    points = np.linspace(*grid.grid_bounds[0], grid.nodes_per_dim)
     columns = {
         "posterior": _density_column(problem.posterior, grid),
         "final_m2": _density_column(trace2.estimates[-1], grid),
         f"final_m{order}": _density_column(trace_m.estimates[-1], grid),
     }
-    _write_csv(out / "densities.csv", ["x", *columns], [points, *columns.values()])
     n = max(trace2.iterations, trace_m.iterations)
     _write_csv(out / "series.csv", ["iteration", "kl_m2", f"kl_m{order}"],
                [range(1, n + 1), _padded(trace2.kl, n), _padded(trace_m.kl, n)])
-    summary = {
-        "experiment": "hermite-iterate",
-        "config": dataclasses.asdict(cfg),
-        "z": problem.z,
+    return _write_stereo(out, problem, "hermite-iterate", columns, {
         "kl_m2": [float(v) for v in trace2.kl],
         f"kl_m{order}": [float(v) for v in trace_m.kl],
         "final_kl_m2": float(trace2.kl[-1]),
         f"final_kl_m{order}": float(trace_m.kl[-1]),
         "higher_basis_wins": bool(trace_m.kl[-1] < trace2.kl[-1]),
-    }
-    _write_summary(out / "summary.json", summary)
-    return summary
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,18 @@ def _tensor_product(axes: Sequence[np.ndarray], weights: Sequence[np.ndarray]):
     return nodes, product
 
 
+@functools.lru_cache(maxsize=16)
+def grid_faces(n: int, dim: int) -> np.ndarray:
+    """The nodes of an n^dim tensor grid whose index along some axis is 0 or
+    n - 1, as a read-only mask in ``_tensor_product`` order."""
+    _check_budget(n, dim)
+    ends = np.zeros(n, dtype=bool)
+    ends[[0, -1]] = True
+    mask = functools.reduce(np.logical_or.outer, [ends] * dim).ravel()
+    mask.flags.writeable = False
+    return mask
+
+
 def _check_budget(n: int, dim: int):
     if dim > _MAX_DIM:
         raise ValueError(f"full-rule expectations capped at {_MAX_DIM} dimensions, got {dim}")

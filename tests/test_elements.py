@@ -1,5 +1,7 @@
 """Element algebra: vector operations, normalization, inner products."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,10 @@ from bayespace.elements import (BayesElement, add, constant_element, divergence,
                                 gaussian_element, information, inner_product,
                                 log_partition, moment_nodes, normalize, scale,
                                 stochastic_derivative, subtract)
-from bayespace.elements import _grid_boundary_mask, _grid_edge
 from bayespace.errors import DimensionMismatch, NotNormalizable
 from bayespace.hermite import HermiteBasis1D, basis_element
 from bayespace.measures import GaussianMeasure
-from bayespace.quadrature import gh_spec, grid_spec, trapezoid_points
+from bayespace.quadrature import gh_spec, grid_spec
 
 SPEC = gh_spec(20)
 GRID8 = grid_spec(2001, [(-8.0, 8.0)])
@@ -154,23 +155,34 @@ class TestNormalize:
         assert np.allclose(dens(probe), expected, rtol=1e-6)
 
 
-    def test_cached_edge_mask_matches_a_fresh_mask(self):
-        # Far from the origin isclose's relative tolerance flags about 40
-        # nodes at each end, not only the end nodes; the cached mask keeps that.
-        spec = grid_spec(4001, [(1000.0, 1001.0)])
-        fresh = _grid_boundary_mask(trapezoid_points(spec, 1)[0], spec.grid_bounds)
-        assert fresh.sum() > 2
-        cached = _grid_edge(spec, 1)
-        assert np.array_equal(cached, fresh)
-        assert _grid_edge(spec, 1) is cached and not cached.flags.writeable
+    @pytest.mark.parametrize("mean, var, bounds", [
+        (1000.99, 1e-6, [(1000.0, 1001.0)]),  # 10 sigma inside the upper face
+        (1000.5, 1e-4, [(1000.0, 1001.0)]),
+        (1000.0, 1e-6, None),                  # the default +/- 8 sigma grids, whose
+        (20.0, 1e-9, None),                    # spacing is far below 1e-5 of the bound
+    ])
+    def test_narrow_density_far_from_the_origin_normalizes(self, mean, var, bounds):
+        # Only a grid's first and last node on each axis are its faces, however
+        # fine the spacing is next to the size of the bound.
+        spec = grid_spec(4001 if bounds else 2001, bounds)
+        log_z = log_partition(gaussian_element([mean], [[var]]), spec,
+                              GaussianMeasure([mean], [[var]]))
+        assert abs(log_z - 0.5 * np.log(2 * np.pi * var)) < 1e-7
 
-    def test_mass_inside_the_edge_band_is_not_normalizable(self):
-        # Peaked 0.01 inside the upper bound: both end nodes have decayed, but
-        # the peak sits in the band the edge mask flags.
-        spec = grid_spec(4001, [(1000.0, 1001.0)])
-        with pytest.raises(NotNormalizable):
-            log_partition(gaussian_element([1000.99], [[1e-6]]), spec)
-        assert np.isfinite(log_partition(gaussian_element([1000.5], [[1e-4]]), spec))
+    @pytest.mark.parametrize("mean, cov, bounds", [
+        ([1000.999], [[1e-6]], [(1000.0, 1001.0)]),  # one sigma from the upper face
+        ([0.0, 3.5], np.eye(2), [(-8.0, 8.0), (-4.0, 4.0)]),  # a face of the second axis
+    ])
+    def test_density_that_has_not_decayed_at_a_face_raises(self, mean, cov, bounds):
+        with pytest.raises(NotNormalizable, match="decay"):
+            log_partition(gaussian_element(mean, cov), grid_spec(41, bounds))
+
+    def test_negative_infinite_phi_raises_without_a_warning(self):
+        p = BayesElement(1, lambda x: np.where(np.abs(x[:, 0]) > 1, -np.inf, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalizable, match="not finite"):
+                log_partition(p, grid_spec(101, [(-3.0, 3.0)]))
 
     def test_moment_nodes_reject_an_element_that_does_not_decay(self):
         # a constant element keeps its full density out to the grid's edge

@@ -367,7 +367,8 @@ class TestCLI:
         assert code == 2
         assert "output directory" in capsys.readouterr().err
 
-    # Values that pass validate() but break a variance, a factor or a grid.
+    # Values that break a variance, a factor or a grid: validate() rejects the
+    # chain scales whose square is not positive and finite, the model the rest.
     @pytest.mark.parametrize("command, line, expected", [
         ("stereo-project", "x_true = 0", 2),
         ("stereo-iterate", "x_true = 0", 2),
@@ -405,6 +406,39 @@ class TestCLI:
             assert "configuration error" in captured.err
         else:
             assert json.loads(captured.out)["error"] == "EvaluationFailure"
+
+    @pytest.mark.parametrize("line", [
+        "prior_sigma = 1e300", "odom_sigma = 1e300", "range_sigma = 1e300",
+        "prior_sigma = 1e-300", "odom_sigma = 1e-300", "range_sigma = 1e-300",
+        "range_offset = 1e300"])
+    def test_chain_scales_whose_square_breaks_are_rejected_before_any_draw(self, tmp_path,
+                                                                           capsys, line):
+        cfg_file = tmp_path / "edge.cfg"
+        cfg_file.write_text(line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gvi-demo", "--out", str(tmp_path / "out"), "--max-iters", "5",
+                         "--config", str(cfg_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bh: configuration error:") and err.count("\n") == 1
+        assert line.split(" = ")[0] in err
+
+    @pytest.mark.parametrize("command", ["stereo-project", "stereo-iterate", "hermite-sweep",
+                                         "hermite-iterate"])
+    def test_prior_narrow_against_its_mean_normalizes(self, tmp_path, capsys, command):
+        """With s2_p = 1e-9 the density grid's spacing is about 1e-8 of its
+        bounds; only its two end nodes are faces, so the run completes."""
+        cfg_file = tmp_path / "narrow.cfg"
+        cfg_file.write_text("s2_p = 1e-9\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--out", str(tmp_path / "out"), "--max-iters", "5",
+                         "--config", str(cfg_file)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        densities_integrate_to_one(tmp_path / "out" / "densities.csv")
+        _assert_finite_outputs(tmp_path / "out")
 
     def test_grid_node_on_the_stereo_pole_warns_nothing(self, tmp_path):
         """With mu_p = 3 a density-grid node lands exactly on the pole x = 0;

@@ -7,7 +7,7 @@ from bayespace.errors import EvaluationFailure, NotNormalizable
 from bayespace.hermite import hermite_poly
 from bayespace.measures import GaussianMeasure
 from bayespace.oracles import stein_check
-from bayespace.quadrature import (expect, gauss_hermite_rule, gh_spec, grid_spec,
+from bayespace.quadrature import (expect, gauss_hermite_rule, gh_spec, grid_faces, grid_spec,
                                   measure_nodes, tensor_rule, trapezoid_points)
 
 
@@ -166,6 +166,29 @@ class TestTrapezoidPoints:
             trapezoid_points(grid_spec(11), 1)
         with pytest.raises(ValueError):
             trapezoid_points(grid_spec(11, [(0.0, 1.0)]), 2)
+
+
+class TestGridFaces:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_marks_the_first_and_last_index_on_some_axis(self, n, dim):
+        index = np.indices((n,) * dim).reshape(dim, -1).T  # _tensor_product order
+        expected = ((index == 0) | (index == n - 1)).any(axis=1)
+        assert np.array_equal(grid_faces(n, dim), expected)
+        if n > 1:  # the same nodes sit on the bounds of a trapezoid grid
+            points, _ = trapezoid_points(grid_spec(n, [(0.0, 1.0)] * dim), dim)
+            assert np.array_equal(grid_faces(n, dim), ((points == 0) | (points == 1)).any(axis=1))
+
+    @pytest.mark.parametrize("n, dim", [(1, 1), (2, 2), (5, 3), (20, 1), (20, 2), (64, 1),
+                                        (64, 2), (64, 3)])
+    def test_equals_the_extreme_gauss_hermite_nodes(self, n, dim):
+        xi, _ = tensor_rule(n, dim)
+        extreme = np.any(np.abs(xi) >= np.abs(xi).max(), axis=1)
+        assert np.array_equal(grid_faces(n, dim), extreme)
+
+    def test_is_cached_and_read_only(self):
+        mask = grid_faces(5, 2)
+        assert grid_faces(5, 2) is mask and not mask.flags.writeable
 
 
 class TestSteinIdentities:

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayespace.elements import (BayesElement, constant_element, equivalent,
                                 gaussian_element, information, inner_product,
@@ -227,6 +228,21 @@ class TestKLDerivatives:
     def test_hessian_forms_agree(self):
         h1 = kl_hessian(self.alpha, self.basis, self.p, KL_GRID)
         h2 = kl_hessian_fim(self.alpha, self.basis, self.p, KL_GRID)
+        assert np.abs(h1 - h1.T).max() < 1e-10
+        assert np.abs(h2 - h2.T).max() < 1e-10
+        assert np.allclose(h1, h2, rtol=1e-6, atol=1e-10)
+
+    @settings(max_examples=15, deadline=None)
+    @given(mean=st.floats(-1.0, 1.0), var=st.floats(0.5, 1.5),
+           alpha=st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 1.5), st.floats(-0.02, 0.02)),
+           coeffs=st.tuples(st.floats(-1.0, 1.0), st.floats(0.2, 1.0), st.floats(0.01, 0.1)))
+    def test_hessian_forms_agree_on_random_inputs(self, mean, var, alpha, coeffs):
+        a, b, c = coeffs
+        target = BayesElement(1, lambda x: a * x[:, 0] + b * x[:, 0]**2 + c * x[:, 0]**4)
+        basis = HermiteBasis1D(3, GaussianMeasure([mean], [[var]]))
+        alpha = np.array(alpha)
+        h1 = kl_hessian(alpha, basis, target, KL_GRID)
+        h2 = kl_hessian_fim(alpha, basis, target, KL_GRID)
         assert np.abs(h1 - h1.T).max() < 1e-10
         assert np.abs(h2 - h2.T).max() < 1e-10
         assert np.allclose(h1, h2, rtol=1e-6, atol=1e-10)

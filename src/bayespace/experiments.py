@@ -89,6 +89,9 @@ class ExperimentConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+        if np.isinf(4.0 * (self.prior_sigma**2 + (self.n_poses - 1) * self.odom_sigma**2)):
+            name = "prior_sigma" if np.isinf(4.0 * self.prior_sigma**2) else "odom_sigma"
+            raise ConfigError(f"{name} is too large: the initial chain variance overflows")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):

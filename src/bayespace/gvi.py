@@ -4,9 +4,9 @@ The joint negative-log target splits over factors with small variable
 support, so every expectation the Gaussian update needs reduces to the
 factor's own marginal: low-dimensional quadrature per factor and
 scatter-add assembly, reading only the covariance blocks inside the
-information matrix's fill pattern.  Each iteration factors the information
-matrix once; that Cholesky factor gives the step, the covariance (a dense
-inverse, cheap at the sizes the experiments allow) and the entropy.  The
+information matrix's fill pattern.  A :class:`GaussianState` factors its
+information on construction, each iteration the new information once; the
+factor gives the entropy, and its inverse by blocks the step and covariance.  The
 sparse solver evaluates the built-in factor kinds in batches, one
 vectorized call per kind over all of its factors; other factors take
 :func:`factor_expectations` one at a time.  The dense oracle,
@@ -40,6 +40,8 @@ _MAX_FACTOR_DIM = 4
 # Quadrature nodes evaluated at once in a batch; bounds the working set
 # (the (F, m, k) nodes and a few (F, m) scalar arrays) on large graphs.
 _CHUNK_NODES = 16_384
+_INV_BLOCK = 32  # rows per block of _inverse_lower
+_LOWER = np.tri(_INV_BLOCK, dtype=bool)  # where a diagonal block of its result is nonzero
 
 
 @dataclass(frozen=True)
@@ -187,9 +189,23 @@ def fill_pattern(graph: FactorGraph) -> np.ndarray:
     return graph._pattern
 
 
+def _inverse_lower(low: np.ndarray) -> np.ndarray:
+    """inv(L) of a lower-triangular L by block forward substitution, X_ii = inv(L_ii) and
+    X_i,<i = -X_ii (L_i,<i X_<i,<i); the general solve's rounding above the diagonal is dropped."""
+    inv = np.zeros_like(low)
+    for i in range(0, len(low), _INV_BLOCK):
+        rows = slice(i, i + _INV_BLOCK)
+        block = low[rows, rows]
+        m = len(block)
+        inv[rows, rows] = diag = np.where(_LOWER[:m, :m], np.linalg.solve(block, np.eye(m)), 0.0)
+        if i:
+            inv[rows, :i] = -diag @ (low[rows, :i] @ inv[:i, :i])
+    return inv
+
+
 def _covariance(low: np.ndarray) -> np.ndarray:
     """inv(L)^T inv(L), the inverse of the information matrix L L^T."""
-    inv_low = np.linalg.solve(low, np.eye(low.shape[0]))
+    inv_low = _inverse_lower(low)
     return inv_low.T @ inv_low
 
 
@@ -200,6 +216,7 @@ class GaussianState:
     mean: np.ndarray
     info: np.ndarray
     pattern: np.ndarray = None
+    low: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -207,7 +224,9 @@ class GaussianState:
         if info.shape != (mean.size, mean.size):
             raise ValueError(f"mean {mean.shape} and info {info.shape} disagree")
         info = 0.5 * (info + info.T)
-        cholesky_or_raise(info, "information matrix")
+        low = cholesky_or_raise(info, "information matrix")  # stored, with its covariance
+        sigma = _covariance(low)
+        low.flags.writeable = sigma.flags.writeable = False
         pattern = self.pattern
         if pattern is None:
             pattern = np.ones_like(info, dtype=bool)
@@ -215,18 +234,17 @@ class GaussianState:
             pattern = np.asarray(pattern, dtype=bool)
             if (np.abs(info[~pattern]) > 0).any():
                 raise ValueError("info has entries outside the declared fill pattern")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "info", info)
-        object.__setattr__(self, "pattern", pattern)
+        for name, v in dict(mean=mean, info=info, pattern=pattern, low=low, _sigma=sigma).items():
+            object.__setattr__(self, name, v)
 
     @property
     def dim(self) -> int:
         return self.mean.size
 
-    # covariance and to_measure are oracle-only; the bench tracer wraps to_measure here
     def covariance(self) -> np.ndarray:
-        return _covariance(np.linalg.cholesky(self.info))
+        return self._sigma
 
+    # oracle-only; the bench tracer wraps it here
     def to_measure(self) -> GaussianMeasure:
         return GaussianMeasure(self.mean, self.covariance())
 
@@ -432,18 +450,17 @@ def _entropy(low: np.ndarray) -> float:
 
 def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
               expectations: Callable) -> IterationTrace:
-    """Iterate ``expectations(mean, sigma, spec, with_value) -> (g, h, loss)``
-    with one Cholesky factorization of the new information per iteration."""
+    """Iterate ``expectations(mean, sigma, spec, with_value) -> (g, h, loss)`` from
+    ``init``'s factor, factoring each new information once and inverting it by blocks."""
     if (np.abs(init.info[~graph._pattern]) > 0).any():
         raise ValueError("initial information has entries outside the graph fill")
-    low = cholesky_or_raise(init.info, "information matrix")
 
     def step(state):
         mean, sigma, low = state
         # the scatter writes only inside the fill, so h keeps the symbolic pattern
         g, h, loss = expectations(mean, sigma, opts.quad, opts.record_loss)
         new_low = cholesky_or_raise(h, "information matrix")
-        inv_low = np.linalg.solve(new_low, np.eye(mean.size))
+        inv_low = _inverse_lower(new_low)
         delta = inv_low.T @ (inv_low @ -g)
         mean = mean + delta
         sigma = inv_low.T @ inv_low
@@ -457,7 +474,7 @@ def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
             raise EvaluationFailure("GVI step or loss is not finite")
         return (mean, sigma, new_low), record
 
-    return _drive(step, (init.mean, _covariance(low), low), opts.tol, opts.max_iters)
+    return _drive(step, (init.mean, init.covariance(), init.low), opts.tol, opts.max_iters)
 
 
 def gvi_sparse_solve(graph: FactorGraph, init: GaussianState,

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bayespace.cli import main
 from bayespace.errors import ConfigError
-from bayespace.experiments import (ExperimentConfig, _fmt, _padded, _write_csv,
+from bayespace import experiments
+from bayespace.experiments import (ExperimentConfig, _fmt, _padded, _solve_chain, _write_csv,
                                    make_chain, run_gvi_demo,
                                    run_hermite_iterate, run_hermite_sweep,
                                    run_stereo_iterate, run_stereo_project)
@@ -248,6 +249,43 @@ class TestGviDemo:
         cols = read_csv(tmp_path / "errors.csv")
         assert np.abs(cols["esgvi_mean"] - cols["map_mean"]).max() < 1e-10
 
+    @pytest.mark.parametrize("n_poses, n_landmarks", [(20, 5), (100, 0)])
+    def test_reported_columns_come_from_the_trace(self, tmp_path, n_poses, n_landmarks):
+        # 100 poses invert the information's factor in more than one block
+        cfg = ExperimentConfig(seed=0, n_poses=n_poses, n_landmarks=n_landmarks,
+                               out_dir=str(tmp_path))
+        summary = run_gvi_demo(cfg)
+        graph, truth, init = make_chain(cfg)
+        lines = (tmp_path / "errors.csv").read_text().splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        cols = read_csv(tmp_path / "errors.csv")
+        for name, nodes, key in (("esgvi", 10, "containment_esgvi"),
+                                 ("map", 1, "containment_map_gn")):
+            trace = _solve_chain(graph, init, cfg, nodes, record_loss=True)
+            sigma3 = 3.0 * np.sqrt(np.diag(trace.covariances[-1]))
+            at = header.index(f"{name}_sigma3")
+            assert [row[at] for row in rows] == [repr(v) for v in sigma3.tolist()]
+            # a step near convergence is below the rounding of the means it joins,
+            # so the tolerance is relative to the step plus its mean
+            means = np.vstack([init.mean, *trace.coordinates])
+            steps = np.linalg.norm(np.diff(means, axis=0), axis=1)
+            scale = steps + np.linalg.norm(means[1:], axis=1)
+            assert (np.abs(np.array(trace.step_norm) - steps) <= 1e-12 * scale).all()
+            inside = np.abs(cols[f"{name}_error"]) <= cols[f"{name}_sigma3"]
+            assert summary[key] == inside.sum() / inside.size
+
+    def test_containment_counts_an_error_on_its_bound(self, tmp_path, monkeypatch):
+        # truths that put the VI errors 0.05% inside and outside 3 sigma
+        cfg = ExperimentConfig(seed=0, out_dir=str(tmp_path))
+        graph, truth, init = make_chain(cfg)
+        trace = _solve_chain(graph, init, cfg, 10, record_loss=True)
+        sigma3 = 3.0 * np.sqrt(np.diag(trace.covariances[-1]))
+        scale = np.where(np.arange(truth.size) % 3 == 0, 1.0005, 0.9995)
+        shifted = trace.coordinates[-1] - scale * sigma3
+        monkeypatch.setattr(experiments, "make_chain", lambda cfg, trial: (graph, shifted, init))
+        summary = run_gvi_demo(cfg)
+        assert summary["containment_esgvi"] == np.mean(scale < 1.0)
+
     @pytest.mark.parametrize("linear, text", [
         (False, PINNED_CHAIN_GRAPH),
         (True, PINNED_LINEAR_CHAIN_GRAPH),
@@ -423,6 +461,21 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("bh: configuration error:") and err.count("\n") == 1
         assert line.split(" = ")[0] in err
+
+    @pytest.mark.parametrize("line", ["prior_sigma = 1e154", "odom_sigma = 1e154"])
+    def test_initial_chain_variance_that_overflows_is_rejected_before_any_draw(
+            self, tmp_path, capsys, line):
+        # each square is finite; 4 (prior_sigma^2 + 19 odom_sigma^2) is not
+        cfg_file = tmp_path / "edge.cfg"
+        cfg_file.write_text(line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gvi-demo", "--out", str(tmp_path / "out"), "--config", str(cfg_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bh: configuration error:") and err.count("\n") == 1
+        assert err.startswith(f"bh: configuration error: {line.split(' = ')[0]} ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["stereo-project", "stereo-iterate", "hermite-sweep",
                                          "hermite-iterate"])

@@ -1,6 +1,7 @@
 """Factor-graph Gaussian variational inference: expectations, assembly,
 marginal extraction, and the sparse/dense route equivalence."""
 
+import functools
 import inspect
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bayespace.elements import BayesElement
 from bayespace.errors import EvaluationFailure, NonSPD
 from bayespace import gvi
-from bayespace.experiments import ExperimentConfig, make_chain
+from bayespace.experiments import ExperimentConfig, make_chain, run_gvi_demo
 from bayespace.gaussian import expected_derivatives
 from bayespace.graphio import dumps_graph, loads_graph
 from bayespace.gvi import (Factor, FactorGraph, GaussianState, GviOptions, assemble,
@@ -291,6 +292,67 @@ class TestMarginals:
         assert err.value.minor == 2
 
 
+def spd_factor(n: int, rng, spread: float = 0.0) -> np.ndarray:
+    """Factor of a random SPD matrix; row and column scales up to e**spread
+    make the general solve pivot, and round above the diagonal."""
+    a = rng.standard_normal((n, n))
+    d = np.exp(rng.uniform(0.0, spread, n))
+    return np.linalg.cholesky(d[:, None] * (a @ a.T + n * np.eye(n)) * d)
+
+
+def chain_factor(n: int, rng) -> np.ndarray:
+    """Factor of an information in a chain's fill: a tridiagonal block of poses
+    and a dense border of landmarks give a bidiagonal block and a dense border."""
+    poses = n - n // 5
+    info = np.diag(rng.uniform(-1.0, 1.0, n - 1), -1)
+    info[poses:] = np.tril(rng.uniform(-1.0, 1.0, (n - poses, n)), poses - 1)
+    info += info.T
+    info[np.diag_indices(n)] = np.abs(info).sum(axis=1) + 1.0
+    return np.linalg.cholesky(info)
+
+
+class TestInverseLower:
+    SIZES = [1, 2, 31, 32, 33, 64, 100, 120]
+
+    @pytest.mark.parametrize("make", [spd_factor, functools.partial(spd_factor, spread=4.0),
+                                      chain_factor], ids=["spd", "scaled-spd", "chain"])
+    def test_matches_the_dense_inverse(self, make):
+        rng = np.random.default_rng(21)
+        for n in self.SIZES:
+            low = make(n, rng)
+            inv = gvi._inverse_lower(low)
+            expected = np.linalg.inv(low)
+            assert np.abs(inv - expected).max() <= 1e-12 * np.abs(expected).max(), n
+            assert not np.triu(inv, 1).any(), n
+            if n <= gvi._INV_BLOCK:
+                # one block: the general solve itself, less its rounding above the diagonal
+                assert np.array_equal(inv, np.tril(np.linalg.solve(low, np.eye(n)))), n
+
+    def test_drops_the_general_solves_rounding_above_the_diagonal(self):
+        low = spd_factor(31, np.random.default_rng(0), spread=4.0)
+        solved = np.linalg.solve(low, np.eye(31))
+        assert np.triu(solved, 1).any()  # the general solve pivots on this factor
+        assert np.array_equal(gvi._inverse_lower(low), np.tril(solved))
+
+    def test_one_block_is_the_general_solve_on_a_chain(self):
+        # the chain-mc shape: no rounding above the diagonal to drop, so the
+        # covariance is the one the general solve gives, bit for bit
+        graph, truth, init = make_chain(ExperimentConfig(seed=11))
+        trace = gvi_sparse_solve(graph, init, GviOptions(record_loss=False))
+        for ig in trace.gaussians:
+            low = np.linalg.cholesky(ig.info)
+            assert np.array_equal(gvi._inverse_lower(low),
+                                  np.linalg.solve(low, np.eye(graph.num_vars)))
+
+    def test_state_factor_and_covariance_are_read_only(self):
+        graph, truth, init = make_chain(ExperimentConfig(seed=11))
+        assert np.array_equal(init.low, np.linalg.cholesky(init.info))
+        assert init.covariance() is init.covariance()
+        for array in (init.low, init.covariance()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+
 class TestDenseStep:
     def test_quadratic_single_step_exact(self):
         rng = np.random.default_rng(5)
@@ -481,18 +543,25 @@ class TestChainSolves:
         assert built == []
         assert trace.iterations > 2
 
-    def test_one_information_factorization_per_iteration(self, monkeypatch):
-        graph, truth, init = make_chain(ExperimentConfig(seed=11))
-        calls = []
+    def test_one_information_factorization_per_trial_and_iteration(self, monkeypatch,
+                                                                   tmp_path):
+        calls, inverses = [], []
 
         def counting(matrix, what="matrix"):
             calls.append(what)
             return cholesky_or_raise(matrix, what)
 
+        inverse_lower = gvi._inverse_lower
         monkeypatch.setattr(gvi, "cholesky_or_raise", counting)
-        trace = gvi_sparse_solve(graph, init, GviOptions())
-        # the initial information, then each iteration's new information
-        assert calls == ["information matrix"] * (trace.iterations + 1)
+        monkeypatch.setattr(gvi, "_inverse_lower", lambda low: inverses.append(1) or
+                            inverse_lower(low))
+        # one trial: make_chain's initial state, then the VI and the MAP solve from it
+        summary = run_gvi_demo(ExperimentConfig(seed=11, out_dir=str(tmp_path)))
+        # the initial information once, when the state is built, then each
+        # iteration's new information; each factor is inverted once
+        count = 1 + summary["esgvi_iterations"] + summary["map_iterations"]
+        assert calls == ["information matrix"] * count
+        assert len(inverses) == count
 
     def test_pattern_never_grows(self):
         cfg = ExperimentConfig(seed=5)

@@ -16,12 +16,12 @@ from .hermite import (HermiteBasis1D, HermiteBasisND, basis_element,
                       hermite_poly, multivariate_basis, reconstruct)
 from .matrixops import DuplicationOps, build_duplication, vec, vech, unvech
 from .measures import GaussianMeasure
-from .oracles import (coordinates, coordinates_via_derivatives, fim,
-                      gaussian_coordinates_direct, gaussian_information, gvi_dense_solve,
-                      gvi_step_dense, joint_element, kernel_apply, kl_gradient,
-                      kl_hessian_fim, measure_derivative_ip, scale_by_function, stein_check)
+from .oracles import (coordinates, coordinates_via_derivatives, fim, gaussian_coordinates_direct,
+                      gaussian_information, gvi_dense_solve, gvi_step_dense, iterate_newton,
+                      joint_element, kernel_apply, kl_gradient, kl_hessian, kl_hessian_fim,
+                      measure_derivative_ip, reconstruct_in_basis, scale_by_function, stein_check)
 from .quadrature import QuadratureSpec, expect, gauss_hermite_rule, gh_spec, grid_spec
 from .variational import (BasisSet, GaussianSubspace, HermiteSubspace, IterateOptions,
-                          IterationTrace, gram, iterate, kl, kl_hessian, project, reporting_grid)
+                          IterationTrace, gram, iterate, kl, project, reporting_grid)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

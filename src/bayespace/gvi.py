@@ -169,12 +169,13 @@ class FactorGraph:
         """
         n = self.num_vars
         gs, hs, values = [], [], []
-        for b in self.blocks:
-            g, h, v = b.expectations(mean[b.idx], sigma[b.idx[:, :, None], b.idx[:, None, :]],
-                                     spec, with_value)
-            gs.append(g.ravel())
-            hs.append(h.ravel())
-            values.append(v)
+        with np.errstate(all="ignore"):  # a non-finite d1, d2 or loss still raises
+            for b in self.blocks:
+                g, h, v = b.expectations(mean[b.idx], sigma[b.idx[:, :, None], b.idx[:, None, :]],
+                                         spec, with_value)
+                gs.append(g.ravel())
+                hs.append(h.ravel())
+                values.append(v)
         g = np.bincount(self._g_at, weights=np.concatenate(gs), minlength=n)
         h = np.bincount(self._h_at, weights=np.concatenate(hs), minlength=n * n).reshape(n, n)
         # add.accumulate sums left to right, like adding the terms one at a time

@@ -3,21 +3,22 @@ a production route, and a test or acceptance criterion checks the two against
 each other.  No production module imports this module."""
 
 import functools
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elements import BayesElement, MeasureLike, element_grad, element_hess, inner_product
+from .elements import (BayesElement, MeasureLike, _grid_density, element_grad, element_hess,
+                       inner_product)
 from .errors import SingularInformation
 from .gaussian import IndefGaussian, expected_derivatives, gaussian_basis
 from .gvi import (FactorGraph, GaussianState, GviOptions, _gvi_loop, _marginals, assemble,
                   factor_expectations)
-from .hermite import HermiteBasis1D, hermite_poly
+from .hermite import HermiteBasis1D, hermite_poly, reconstruct as hermite_reconstruct
 from .matrixops import build_duplication, vec
 from .measures import GaussianMeasure, cholesky_or_raise
-from .quadrature import QuadratureSpec, expect, measure_nodes
-from .variational import (Coordinates, IterationTrace, _qhat_context, gram, project,
-                          reconstruct_in_basis)
+from .quadrature import QuadratureSpec, default_grid_bounds, expect, grid_spec, measure_nodes
+from .variational import (Coordinates, IterateOptions, IterationTrace, SubspaceSpec, _iterate,
+                          _solve_gram, basis_projections, gram, project)
 
 
 def gaussian_coordinates_direct(p: BayesElement, measure: GaussianMeasure,
@@ -156,6 +157,17 @@ def scale_by_function(c: Callable[[np.ndarray], np.ndarray], p: BayesElement) ->
     return BayesElement(p.dim, lambda x, pp=p.phi: np.asarray(c(x)) * pp(x))
 
 
+def reconstruct_in_basis(alpha: Sequence[float], basis) -> BayesElement:
+    """The subspace member with the given coordinates (with analytic
+    derivatives for a Hermite basis, finite differences otherwise)."""
+    if isinstance(basis, HermiteBasis1D):
+        return hermite_reconstruct(alpha, basis)
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.size != len(basis.elements):
+        raise ValueError(f"{alpha.size} coordinates for a {len(basis.elements)}-element basis")
+    return BayesElement(dim=basis.measure.dim, phi=lambda x: alpha @ basis.phi_matrix(x))
+
+
 def kernel_apply(basis, nu: MeasureLike, p: BayesElement,
                  spec: QuadratureSpec) -> BayesElement:
     """Apply the subspace kernel b > <b,b>^{-1} < b to p.
@@ -164,6 +176,14 @@ def kernel_apply(basis, nu: MeasureLike, p: BayesElement,
     projected coordinates.
     """
     return reconstruct_in_basis(project(p, basis, nu, spec), basis)
+
+
+def _qhat_context(alpha, basis, spec):
+    """Grid nodes, phi, weights and log Z of the normalized element at
+    ``alpha``, with the basis phi matrix and its means at those nodes."""
+    points, phi_q, w, log_zq = _grid_density(reconstruct_in_basis(alpha, basis), spec)
+    phi = basis.phi_matrix(points)
+    return points, phi_q, w, log_zq, phi, phi @ w
 
 
 def kl_gradient(alpha: Coordinates, basis, p: BayesElement,
@@ -176,10 +196,25 @@ def kl_gradient(alpha: Coordinates, basis, p: BayesElement,
     return -(centered @ (w * t))
 
 
+def kl_hessian(alpha: Coordinates, basis, p: BayesElement, spec: QuadratureSpec) -> np.ndarray:
+    """Hessian of KL over the coordinates, exactly symmetric: Gram +
+    <-b_mn + E[ln b_n] b_m + E[ln b_m] b_n, p(-)q> with b_mn = exp(ln b_m ln b_n)."""
+    points, phi_q, w, _, phi, means = _qhat_context(alpha, basis, spec)
+    centered = phi - means[:, None]
+    g = (centered * w) @ centered.T
+    g = 0.5 * (g + g.T)
+    t = np.asarray(p.phi(points), dtype=float) - phi_q
+    tc = t - w @ t
+    m1 = (phi * (w * tc)) @ phi.T
+    v = phi @ (w * tc)
+    h = g + m1 - np.outer(v, means) - np.outer(means, v)
+    return 0.5 * (h + h.T)
+
+
 def kl_hessian_fim(alpha: Coordinates, basis, p: BayesElement,
                    spec: QuadratureSpec) -> np.ndarray:
     """Hessian of KL over the coordinates in its FIM form: (1 - KL) Gram
-    minus the measure-derivative term; equals :func:`variational.kl_hessian`."""
+    minus the measure-derivative term; equals :func:`kl_hessian`."""
     points, phi_q, w, log_zq, phi, means = _qhat_context(alpha, basis, spec)
     centered = phi - means[:, None]
     g = (centered * w) @ centered.T
@@ -190,6 +225,24 @@ def kl_hessian_fim(alpha: Coordinates, basis, p: BayesElement,
     s = -((centered * (w * t_norm)) @ centered.T)
     h = (1.0 - kl_raw) * g - s
     return 0.5 * (h + h.T)
+
+
+def iterate_newton(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasure,
+                   opts: Optional[IterateOptions] = None) -> IterationTrace:
+    """:func:`variational.iterate` with full Newton steps: the exact :func:`kl_hessian`
+    at the current estimate's coordinates replaces the Gram matrix (1-D states)."""
+    opts = opts or IterateOptions()
+    if init_measure.dim != 1:
+        raise ValueError("full-Newton mode is implemented for one-dimensional states")
+
+    def newton(measure, current, basis, g, residual):
+        grid = opts.kl_grid or grid_spec(1001, default_grid_bounds(measure))
+        alpha_self = _solve_gram(g, basis_projections(basis, current, measure, opts.quad))
+        h = kl_hessian(alpha_self, basis, p, grid)
+        alpha = alpha_self + _solve_gram(h, residual)
+        return alpha, alpha - alpha_self
+
+    return _iterate(p, subspace, init_measure, opts, newton)
 
 
 def measure_derivative_ip(p: BayesElement, q: BayesElement, basis,

@@ -1,5 +1,5 @@
-"""Subspace projection, KL gradient/Hessian in coordinates, and the
-iterative-projection optimizer.
+"""Subspace projection, the KL divergence, and the iterative-projection
+optimizer.
 
 Minimizing KL(q || p) over the coordinates of q in a subspace is a Newton
 iteration whose Hessian, near the optimum, is the Gram matrix of the basis
@@ -10,7 +10,7 @@ onto the subspace under the current estimate-as-measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .errors import (BayesSpaceError, EvaluationFailure, MeasureInvalid, NotNorm
 from .gaussian import (_COND_LIMIT, GaussianBasis, IndefGaussian, gaussian_basis,
                        gaussian_coordinates, gaussian_from_coordinates,
                        project_to_gaussian)
-from .hermite import HermiteBasis1D
-from .hermite import reconstruct as hermite_reconstruct
+from .hermite import HermiteBasis1D, reconstruct as hermite_reconstruct
 from .measures import GaussianMeasure
 from .quadrature import GRID, QuadratureSpec, default_grid_bounds, gh_spec, grid_spec
 
@@ -79,25 +78,14 @@ def project(p: BayesElement, basis, nu: MeasureLike, spec: QuadratureSpec) -> Co
     return _solve_gram(g, basis_projections(basis, p, nu, spec))
 
 
-def reconstruct_in_basis(alpha: Sequence[float], basis) -> BayesElement:
-    """The subspace member with the given coordinates (with analytic
-    derivatives for a Hermite basis, finite differences otherwise)."""
-    if isinstance(basis, HermiteBasis1D):
-        return hermite_reconstruct(alpha, basis)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size != len(basis.elements):
-        raise ValueError(f"{alpha.size} coordinates for a {len(basis.elements)}-element basis")
-    return BayesElement(dim=basis.measure.dim, phi=lambda x: alpha @ basis.phi_matrix(x))
-
-
 # ---------------------------------------------------------------------------
-# KL divergence and its derivatives in coordinates
+# KL divergence
 # ---------------------------------------------------------------------------
 
-def reporting_grid(measure: GaussianMeasure, points: int = 2001) -> QuadratureSpec:
+def reporting_grid(measure: GaussianMeasure) -> QuadratureSpec:
     """Grid over the measure's default bounds (mean +/- 8 sigma), used for
     absolute KL values."""
-    return grid_spec(points, default_grid_bounds(measure))
+    return grid_spec(2001, default_grid_bounds(measure))
 
 
 def kl(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
@@ -127,29 +115,6 @@ def kl(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
         w = w[keep] / w[keep].sum()
     value = float(w @ t) - log_zq
     return value + log_zp if normalize_target else value
-
-
-def _qhat_context(alpha, basis, spec):
-    """Grid nodes, phi, weights and log Z of the normalized element at
-    ``alpha``, with the basis phi matrix and its means at those nodes."""
-    points, phi_q, w, log_zq = _grid_density(reconstruct_in_basis(alpha, basis), spec)
-    phi = basis.phi_matrix(points)
-    return points, phi_q, w, log_zq, phi, phi @ w
-
-
-def kl_hessian(alpha: Coordinates, basis, p: BayesElement, spec: QuadratureSpec) -> np.ndarray:
-    """Hessian of KL over the coordinates, exactly symmetric: Gram +
-    <-b_mn + E[ln b_n] b_m + E[ln b_m] b_n, p(-)q> with b_mn = exp(ln b_m ln b_n)."""
-    points, phi_q, w, _, phi, means = _qhat_context(alpha, basis, spec)
-    centered = phi - means[:, None]
-    g = (centered * w) @ centered.T
-    g = 0.5 * (g + g.T)
-    t = np.asarray(p.phi(points), dtype=float) - phi_q
-    tc = t - w @ t
-    m1 = (phi * (w * tc)) @ phi.T
-    v = phi @ (w * tc)
-    h = g + m1 - np.outer(v, means) - np.outer(means, v)
-    return 0.5 * (h + h.T)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +164,6 @@ class IterateOptions:
     max_iters: int = 50
     quad: QuadratureSpec = field(default_factory=gh_spec)
     kl_grid: Optional[QuadratureSpec] = None
-    newton: bool = False
 
 
 @dataclass
@@ -269,6 +233,17 @@ def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasu
     the partial trace as ``err.trace``.
     """
     opts = opts or IterateOptions()
+
+    def projection(measure, current, basis, g, residual):
+        return subspace.coordinates(p, measure, opts.quad, basis), _solve_gram(g, residual)
+
+    return _iterate(p, subspace, init_measure, opts, projection)
+
+
+def _iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasure,
+             opts: IterateOptions, update: Callable) -> IterationTrace:
+    """:func:`iterate` with ``update(measure, current, basis, gram, residual)
+    -> (alpha, delta)`` giving each step's coordinates and their change."""
     quad = opts.quad
     kl_grid = opts.kl_grid or reporting_grid(init_measure)
 
@@ -278,15 +253,7 @@ def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasu
         basis = subspace.basis_for(measure)
         g = gram(basis, measure, quad)
         residual = basis_projections(basis, subtract(p, current), measure, quad)
-        if opts.newton:
-            grid = _newton_grid(measure, opts)
-            alpha_self = _solve_gram(g, basis_projections(basis, current, measure, quad))
-            h = kl_hessian(alpha_self, basis, p, grid)
-            alpha = alpha_self + _solve_gram(h, residual)
-            delta = alpha - alpha_self
-        else:
-            alpha = subspace.coordinates(p, measure, quad, basis)
-            delta = _solve_gram(g, residual)
+        alpha, delta = update(measure, current, basis, g, residual)
         try:
             estimate, ig = subspace.estimate(alpha, measure, quad, basis)
         except SingularInformation as exc:
@@ -315,9 +282,3 @@ def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasu
 
     current = gaussian_element(init_measure.mean, init_measure.covariance)
     return _drive(step, (init_measure, current, None), opts.tol, opts.max_iters)
-
-
-def _newton_grid(measure: GaussianMeasure, opts: IterateOptions) -> QuadratureSpec:
-    if measure.dim != 1:
-        raise ValueError("full-Newton mode is implemented for one-dimensional states")
-    return opts.kl_grid or reporting_grid(measure, points=1001)

@@ -286,6 +286,14 @@ class TestGviDemo:
         summary = run_gvi_demo(cfg)
         assert summary["containment_esgvi"] == np.mean(scale < 1.0)
 
+    def test_default_tol_stops_at_the_first_step_below_it(self, tmp_path):
+        # the VI step norms end 1.9e-5, 2.3e-7, 5.1e-10: a default of 1e-6
+        # would stop one iteration early, one of 1e-10 one iteration late
+        run_gvi_demo(ExperimentConfig(seed=0, out_dir=str(tmp_path)))
+        steps = read_csv(tmp_path / "series.csv")["esgvi_step_norm"]
+        assert steps[-1] < 1e-8
+        assert (steps[:-1] >= 1e-8).all()
+
     @pytest.mark.parametrize("linear, text", [
         (False, PINNED_CHAIN_GRAPH),
         (True, PINNED_LINEAR_CHAIN_GRAPH),
@@ -476,6 +484,24 @@ class TestCLI:
         assert err.startswith("bh: configuration error:") and err.count("\n") == 1
         assert err.startswith(f"bh: configuration error: {line.split(' = ')[0]} ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, error", [
+        ("range_sigma = 1e-154", "EvaluationFailure"), ("range_sigma = 1e-153", "NonSPD"),
+        ("odom_sigma = 1e-154", "EvaluationFailure"),
+        ("range_offset = 1e154", "EvaluationFailure"),
+        ("range_offset = 1e150", "EvaluationFailure")])
+    def test_chain_factor_that_overflows_exits_3_without_a_warning(self, tmp_path, capsys,
+                                                                   line, error):
+        # the kind formulas overflow at the quadrature nodes; the typed error reports it
+        cfg_file = tmp_path / "edge.cfg"
+        cfg_file.write_text(line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gvi-demo", "--out", str(tmp_path / "out"), "--config", str(cfg_file)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"] == error
 
     @pytest.mark.parametrize("command", ["stereo-project", "stereo-iterate", "hermite-sweep",
                                          "hermite-iterate"])

@@ -15,13 +15,13 @@ from bayespace.errors import MeasureInvalid, NotNormalizable, SingularGram
 from bayespace.gaussian import gaussian_basis, project_to_gaussian
 from bayespace.hermite import HermiteBasis1D, hermite_poly, multivariate_basis, reconstruct
 from bayespace.measures import GaussianMeasure
-from bayespace.oracles import (fim, kernel_apply, kl_gradient, kl_hessian_fim,
-                               measure_derivative_ip, scale_by_function)
+from bayespace.oracles import (fim, iterate_newton, kernel_apply, kl_gradient, kl_hessian,
+                               kl_hessian_fim, measure_derivative_ip, reconstruct_in_basis,
+                               scale_by_function)
 from bayespace.quadrature import gh_spec, grid_spec
 from bayespace.variational import (BasisSet, GaussianSubspace, HermiteSubspace,
                                    IterateOptions, IterationTrace, basis_projections,
-                                   gram, iterate, kl, kl_hessian, project,
-                                   reconstruct_in_basis, reporting_grid, _solve_gram)
+                                   gram, iterate, kl, project, reporting_grid, _solve_gram)
 
 SPEC = gh_spec(20)
 KL_GRID = grid_spec(4001, [(-12.0, 12.0)])
@@ -368,6 +368,20 @@ class TestFIM:
         assert np.allclose(oracle, g, rtol=1e-6, atol=1e-8)
 
 
+class TestDrive:
+    @pytest.mark.parametrize("series, flagged", [
+        ([1.0, 1.0 + 5e-13], False),  # inside the 1e-12 slack
+        ([1.0, 1.0 + 2e-12], True),
+        ([1.0, 0.5, 0.25], False)])
+    def test_non_monotone_kl_flags_a_rise_past_its_slack(self, series, flagged):
+        def step(k):
+            return k + 1, {"kl": series[k], "step_norm": 1.0}
+
+        trace = variational._drive(step, 0, tol=0.0, max_iters=len(series))
+        assert trace.kl == series
+        assert trace.non_monotone_kl is flagged
+
+
 class TestIterate:
     def test_target_in_subspace_converges_first_step(self):
         target = gaussian_element([1.5], [[0.8]])
@@ -499,9 +513,9 @@ class TestIterate:
         base = iterate(stereo.posterior, GaussianSubspace(), start,
                        IterateOptions(tol=1e-9, max_iters=30,
                                       kl_grid=reporting_grid(stereo.prior_measure)))
-        newton = iterate(stereo.posterior, GaussianSubspace(), start,
-                         IterateOptions(tol=1e-9, max_iters=30, newton=True,
-                                        kl_grid=reporting_grid(stereo.prior_measure)))
+        newton = iterate_newton(stereo.posterior, GaussianSubspace(), start,
+                                IterateOptions(tol=1e-9, max_iters=30,
+                                               kl_grid=reporting_grid(stereo.prior_measure)))
         assert newton.converged
         assert newton.kl[-1] == pytest.approx(base.kl[-1], rel=1e-5)
 

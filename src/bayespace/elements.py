@@ -300,11 +300,9 @@ def inner_product(p: BayesElement, q: BayesElement, nu: MeasureLike,
     """
     _check_dims(p, q)
     points, w = moment_nodes(nu, spec)
-    a = _phi_at(p, points)
-    b = _phi_at(q, points)
-    a = a - w @ a
-    b = b - w @ b
-    value = float(w @ (a * b))
+    a, b = _phi_at(p, points), _phi_at(q, points)
+    with np.errstate(all="ignore"):  # a non-finite value raises below
+        value = float(w @ ((a - w @ a) * (b - w @ b)))
     if not np.isfinite(value):
         raise EvaluationFailure(f"inner product is not finite: {value}")
     return value

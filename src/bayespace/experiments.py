@@ -23,8 +23,7 @@ from .elements import (BayesElement, _grid_density, add, gaussian_element, infor
 from .errors import ConfigError, NotNormalizable
 from .gaussian import project_to_gaussian
 from .graphio import dumps_graph, write_new_text
-from .gvi import (FactorGraph, GaussianState, GviOptions, fill_pattern,
-                  gvi_sparse_solve, stereo_factor)
+from .gvi import FactorGraph, GaussianState, GviOptions, gvi_sparse_solve, stereo_factor
 from .hermite import HermiteBasis1D, reconstruct
 from .measures import GaussianMeasure
 from .quadrature import (QuadratureSpec, default_grid_bounds, gh_spec, grid_spec,
@@ -433,7 +432,7 @@ def make_chain(cfg: ExperimentConfig, trial: int = 0,
     mean[np_:] = z0 if cfg.linear else np.sqrt(np.maximum(z0 * z0 - h * h, h * h))
     var = np.concatenate([s0**2 + np.arange(np_) * su**2, np.full(nl, 1.0)])
     info = np.diag(1.0 / (4.0 * var))
-    return graph, truth, GaussianState(mean, info, fill_pattern(graph))
+    return graph, truth, GaussianState(mean, info)
 
 
 def _solve_chain(graph, init, cfg: ExperimentConfig, nodes: int,

@@ -60,10 +60,6 @@ class IndefGaussian:
     info: np.ndarray
     spd: bool
 
-    @property
-    def dim(self) -> int:
-        return self.mean_like.size
-
     def covariance(self) -> np.ndarray:
         if not self.spd:
             raise SingularInformation("info is not positive-definite")
@@ -91,8 +87,10 @@ def expected_derivatives(p: BayesElement, measure: GaussianMeasure,
     Raises :class:`EvaluationFailure` when either is not finite.
     """
     points, w = measure_nodes(measure, spec)
-    g = w @ element_grad(p, points)
-    h = np.einsum("i,ijk->jk", w, element_hess(p, points))
+    gv, hv = element_grad(p, points), element_hess(p, points)
+    with np.errstate(all="ignore"):  # a non-finite sum raises below
+        g = w @ gv
+        h = np.einsum("i,ijk->jk", w, hv)
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
         raise EvaluationFailure("expected derivatives are not finite")
     return g, 0.5 * (h + h.T)

@@ -212,11 +212,11 @@ def _covariance(low: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Joint Gaussian estimate in information form with a fixed fill pattern."""
+    """Joint Gaussian estimate in information form; a solver checks ``info``
+    against its graph's fill."""
 
     mean: np.ndarray
     info: np.ndarray
-    pattern: np.ndarray = None
     low: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -228,19 +228,8 @@ class GaussianState:
         low = cholesky_or_raise(info, "information matrix")  # stored, with its covariance
         sigma = _covariance(low)
         low.flags.writeable = sigma.flags.writeable = False
-        pattern = self.pattern
-        if pattern is None:
-            pattern = np.ones_like(info, dtype=bool)
-        else:
-            pattern = np.asarray(pattern, dtype=bool)
-            if (np.abs(info[~pattern]) > 0).any():
-                raise ValueError("info has entries outside the declared fill pattern")
-        for name, v in dict(mean=mean, info=info, pattern=pattern, low=low, _sigma=sigma).items():
+        for name, v in dict(mean=mean, info=info, low=low, _sigma=sigma).items():
             object.__setattr__(self, name, v)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
 
     def covariance(self) -> np.ndarray:
         return self._sigma
@@ -390,8 +379,10 @@ def _group(factors: Sequence[Factor]) -> Tuple[_Block, ...]:
     groups: Dict[Tuple[Optional[str], int], list] = {}
     for at, f in enumerate(factors):
         kind = _KINDS.get(f.kind)
-        batched = kind is not None and f.arity == kind.arity and len(f.params) == kind.nparams
-        groups.setdefault((f.kind if batched else None, f.arity), []).append((at, f))
+        if kind is not None and (f.arity, len(f.params)) != (kind.arity, kind.nparams):
+            raise ValueError(f"{f.kind!r} factor: expected {kind.arity} indices and "
+                             f"{kind.nparams} params, got {f.arity} and {len(f.params)}")
+        groups.setdefault((f.kind if kind else None, f.arity), []).append((at, f))
     # no index dtype: an index past 64 bits stays an int and fails the range check
     return tuple(
         _Block(_KINDS.get(name), np.array([f.indices for _, f in rows]),
@@ -465,10 +456,12 @@ def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
         delta = inv_low.T @ (inv_low @ -g)
         mean = mean + delta
         sigma = inv_low.T @ inv_low
+        with np.errstate(all="ignore"):  # a norm that overflows raises below
+            step_norm = float(np.linalg.norm(delta))
         # the trace keeps mean and sigma as they are: no later step mutates them
         record = {"coordinates": mean, "covariances": sigma,
                   "gaussians": IndefGaussian(mean_like=mean, info=h, spd=True),
-                  "step_norm": float(np.linalg.norm(delta))}
+                  "step_norm": step_norm}
         if opts.record_loss:
             record["kl"] = loss - _entropy(low)
         if not np.isfinite([record["step_norm"], record.get("kl", 0.0)]).all():
@@ -517,10 +510,14 @@ class _Kind(NamedTuple):
             raise ValueError(f"{self.name} factor variance must be positive, "
                              f"got {params[self.var_at]}")
         jac = self.jac
-        return Factor(indices=indices, phi=lambda x: self.phi(x @ jac, *params),
-                      grad=lambda x: self.d12(x @ jac, *params)[0][..., None] * jac,
-                      hess=lambda x: (self.d12(x @ jac, *params)[1][..., None, None]
-                                      * np.outer(jac, jac)),
+
+        def at(formula, x):  # a formula may overflow; each caller checks what it reads
+            with np.errstate(all="ignore"):
+                return formula(x @ jac, *params)
+
+        return Factor(indices=indices, phi=functools.partial(at, self.phi),
+                      grad=lambda x: at(self.d12, x)[0][..., None] * jac,
+                      hess=lambda x: at(self.d12, x)[1][..., None, None] * np.outer(jac, jac),
                       kind=self.name, params=params)
 
 

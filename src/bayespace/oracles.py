@@ -336,4 +336,4 @@ def gvi_step_dense(p: BayesElement, state: GaussianState,
     g, h = expected_derivatives(p, measure, spec)
     low = cholesky_or_raise(h, "updated information")
     dmu = np.linalg.solve(low.T, np.linalg.solve(low, -g))
-    return GaussianState(state.mean + dmu, h, np.ones_like(h, dtype=bool))
+    return GaussianState(state.mean + dmu, h)

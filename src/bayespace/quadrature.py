@@ -160,7 +160,8 @@ def measure_nodes(nu: GaussianMeasure, spec: QuadratureSpec) -> Tuple[np.ndarray
         xi, w = tensor_rule(spec.nodes_per_dim, nu.dim)
         return nu.mean + xi @ nu.cholesky.T, w
     points, dx = trapezoid_points(bounded_grid(spec, nu), nu.dim)
-    w = dx * np.exp(nu.log_density(points))
+    with np.errstate(all="ignore"):  # a density that underflows everywhere raises below
+        w = dx * np.exp(nu.log_density(points))
     total = w.sum()
     if not (np.isfinite(total) and total > 0.0):
         raise NotNormalizable("the measure has no mass on the grid")

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .elements import (BayesElement, MeasureLike, _grid_density, gaussian_element,
+from .elements import (BayesElement, MeasureLike, _grid_density, _phi_at, gaussian_element,
                        information, log_partition, moment_nodes, subtract)
 from .errors import (BayesSpaceError, EvaluationFailure, MeasureInvalid, NotNormalizable,
                      SingularGram, SingularInformation)
@@ -64,7 +64,7 @@ def basis_projections(basis, p: BayesElement, nu: MeasureLike,
     points, w = moment_nodes(nu, spec)
     phi = basis.phi_matrix(points)
     phi = phi - (phi @ w)[:, None]
-    target = np.asarray(p.phi(points), dtype=float)
+    target = _phi_at(p, points)
     target = target - w @ target
     return phi @ (w * target)
 
@@ -268,13 +268,17 @@ def _iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeas
             raise NotNormalizable(f"estimate not normalizable: {exc}") from None
         if not np.isfinite(kl_value + log_zp):
             raise EvaluationFailure(f"KL is not finite: {kl_value + log_zp}")
+        with np.errstate(all="ignore"):  # a norm that overflows raises below
+            step_norm = float(np.linalg.norm(delta))
+        if not np.isfinite(step_norm):
+            raise EvaluationFailure(f"step norm is not finite: {step_norm}")
         next_measure = ig.to_measure()
         record = {
             "coordinates": np.asarray(alpha, dtype=float),
             "estimates": estimate,
             "gaussians": ig,
             "covariances": next_measure.covariance,
-            "step_norm": float(np.linalg.norm(delta)),
+            "step_norm": step_norm,
             "divergence": information(subtract(p, estimate), measure, quad),
             "kl": kl_value + log_zp,
         }

@@ -14,7 +14,7 @@ from bayespace.experiments import ExperimentConfig, make_chain, run_gvi_demo
 from bayespace.gaussian import (IndefGaussian, expected_derivatives, gaussian_basis,
                                 gaussian_coordinates)
 from bayespace.gvi import (Factor, FactorGraph, GaussianState, GviOptions, assemble,
-                           factor_expectations, fill_pattern, gvi_sparse_solve, odom_factor)
+                           factor_expectations, gvi_sparse_solve, odom_factor)
 from bayespace.hermite import HermiteBasis1D, hermite_poly, multivariate_basis, reconstruct
 from bayespace.matrixops import build_duplication, vec, vech
 from bayespace.measures import GaussianMeasure
@@ -323,8 +323,7 @@ def test_criterion_11_gvi_route_equivalence(stereo):
     for i in range(5):
         factors.append(odom_factor(i, i + 1, rng.normal(0, 0.5), rng.uniform(0.5, 2.0)))
     graph = FactorGraph(6, tuple(factors))
-    init = GaussianState(rng.standard_normal(6) * 0.3, np.diag(np.full(6, 0.5)),
-                         fill_pattern(graph))
+    init = GaussianState(rng.standard_normal(6) * 0.3, np.diag(np.full(6, 0.5)))
     opts = GviOptions(tol=0.0, max_iters=6, quad=gh_spec(6), record_loss=False)
     sparse = gvi_sparse_solve(graph, init, opts)
     dense = gvi_dense_solve(graph, init, opts)

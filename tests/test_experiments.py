@@ -294,6 +294,26 @@ class TestGviDemo:
         assert steps[-1] < 1e-8
         assert (steps[:-1] >= 1e-8).all()
 
+    def test_series_pads_the_shorter_solver_with_empty_cells(self, tmp_path):
+        # at 20x5 seed 0, MAP stops after 4 iterations and VI after 6
+        run_gvi_demo(ExperimentConfig(seed=0, out_dir=str(tmp_path)))
+        lines = (tmp_path / "series.csv").read_text().splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3", "4", "5", "6"]
+        for name in ("map_step_norm", "map_loss"):
+            cells = [row[header.index(name)] for row in rows]
+            assert all(cells[:4]) and cells[4:] == ["", ""]
+
+    def test_monte_carlo_fields_read_every_trial(self, tmp_path):
+        # at seed 8, trial 0 takes 5 VI iterations and trial 1 takes 6
+        run_gvi_demo(ExperimentConfig(seed=8, trials=2, out_dir=str(tmp_path / "all")))
+        summary = json.loads((tmp_path / "all" / "summary.json").read_text())
+        assert (summary["esgvi_iterations"], summary["max_iterations"]) == (5, 6)
+        assert summary["all_converged"]
+        run_gvi_demo(ExperimentConfig(seed=8, trials=2, max_iters=5, out_dir=str(tmp_path / "cap")))
+        summary = json.loads((tmp_path / "cap" / "summary.json").read_text())
+        assert summary["esgvi_converged"] and not summary["all_converged"]
+
     @pytest.mark.parametrize("linear, text", [
         (False, PINNED_CHAIN_GRAPH),
         (True, PINNED_LINEAR_CHAIN_GRAPH),
@@ -498,6 +518,31 @@ class TestCLI:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["gvi-demo", "--out", str(tmp_path / "out"), "--config", str(cfg_file)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"] == error
+
+    @pytest.mark.parametrize("command, line, error", [
+        ("stereo-project", "f = 1e154", "EvaluationFailure"),  # the stereo formulas
+        ("stereo-project", "s2_p = 1e154", "EvaluationFailure"),  # an inner product
+        ("stereo-project", "informed_mean = 1e300", "NotNormalizable"),  # a grid measure
+        ("stereo-iterate", "b = 1e154", "EvaluationFailure"),  # a basis projection
+        ("stereo-iterate", "s2_r = 1e-300", "EvaluationFailure"),  # the step norm
+        ("hermite-sweep", "x_true = 1e-154", "NotNormalizable"),
+        ("hermite-iterate", "z = 1e154", "EvaluationFailure"),
+        ("hermite-iterate", "s2_r = 1e-300", "EvaluationFailure"),
+        ("gvi-demo", "range_sigma = 1e154", "EvaluationFailure"),  # the GVI step norm
+    ])
+    def test_model_that_overflows_exits_3_without_a_warning(self, tmp_path, capsys,
+                                                            command, line, error):
+        # a sample of the four stereo commands over extreme model values, and a chain
+        cfg_file = tmp_path / "edge.cfg"
+        cfg_file.write_text(line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--out", str(tmp_path / "out"), "--max-iters", "5",
+                         "--config", str(cfg_file)])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.err == ""

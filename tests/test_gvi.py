@@ -81,6 +81,17 @@ class TestFactorBasics:
         with pytest.raises(ValueError):
             FactorGraph(3, (prior_factor(0, 0.0, 1.0), odom_factor(0, 1, 1.0, 1.0)))
 
+    @pytest.mark.parametrize("indices, params, got", [
+        ((0, 1, 2), (1.0, 0.5, 2.0), "got 3 and 3"),  # one index too many
+        ((0, 1), (1.0, 0.5), "got 2 and 2"),          # one parameter short
+    ])
+    def test_graph_rejects_a_built_in_kind_of_the_wrong_shape(self, indices, params, got):
+        # filed as a custom factor, it would dump as text that loads_graph rejects
+        factor = Factor(indices=indices, phi=lambda x: x[:, 0], kind="range", params=params)
+        with pytest.raises(ValueError) as err:
+            FactorGraph(3, (factor,))
+        assert str(err.value) == f"'range' factor: expected 2 indices and 3 params, {got}"
+
     def test_odometry_hessian_structure(self):
         f = odom_factor(0, 1, 0.7, 0.25)
         h = f.hess(np.zeros((1, 2)))[0]
@@ -252,7 +263,7 @@ class TestMarginals:
         factors = tuple(prior_factor(i, 0.0, 1.0) for i in range(4))
         graph = FactorGraph(4, factors)
         info = np.diag([2.0, 4.0, 8.0, 16.0])
-        state = GaussianState(np.zeros(4), info, fill_pattern(graph))
+        state = GaussianState(np.zeros(4), info)
         for i, (mean_k, cov_k) in enumerate(marginals_for_factors(state, graph)):
             assert cov_k[0, 0] == pytest.approx(1.0 / info[i, i], rel=1e-12)
 
@@ -260,7 +271,7 @@ class TestMarginals:
         factors = (prior_factor(0, 0.0, 1.0), odom_factor(0, 1, 0, 1), odom_factor(1, 2, 0, 1))
         graph = FactorGraph(3, factors)
         info = np.array([[2.0, -0.5, 0.0], [-0.5, 3.0, -0.8], [0.0, -0.8, 1.5]])
-        state = GaussianState(np.arange(3.0), info, fill_pattern(graph))
+        state = GaussianState(np.arange(3.0), info)
         sigma = np.linalg.inv(info)
         for f, (mean_k, cov_k) in zip(graph.factors, marginals_for_factors(state, graph)):
             idx = list(f.indices)
@@ -276,7 +287,7 @@ class TestMarginals:
         diag = rng.uniform(2.0, 5.0, n)
         off = rng.uniform(-0.8, 0.8, n - 1)
         info = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        state = GaussianState(rng.standard_normal(n), info, fill_pattern(graph))
+        state = GaussianState(rng.standard_normal(n), info)
         sigma = np.linalg.inv(info)
         for f, (mean_k, cov_k) in zip(graph.factors, marginals_for_factors(state, graph)):
             idx = list(f.indices)
@@ -287,8 +298,7 @@ class TestMarginals:
         factors = (prior_factor(0, 0.0, 1.0), odom_factor(0, 1, 0, 1))
         graph = FactorGraph(2, factors)
         with pytest.raises(NonSPD) as err:
-            GaussianState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
-                          fill_pattern(graph))
+            GaussianState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert err.value.minor == 2
 
 
@@ -406,7 +416,7 @@ class TestSolverEquivalence:
         rng = np.random.default_rng(6)
         graph = polynomial_test_graph(6, rng)
         init = GaussianState(rng.standard_normal(6) * 0.3,
-                             np.diag(np.full(6, 0.5)), fill_pattern(graph))
+                             np.diag(np.full(6, 0.5)))
         opts = GviOptions(tol=0.0, max_iters=8, quad=gh_spec(6), record_loss=False)
         sparse = gvi_sparse_solve(graph, init, opts)
         dense = gvi_dense_solve(graph, init, opts)
@@ -422,7 +432,7 @@ class TestSolverEquivalence:
         graph = polynomial_test_graph(6, rng)
         joint = joint_element(graph)
         init_mean = rng.standard_normal(6) * 0.3
-        init = GaussianState(init_mean, np.diag(np.full(6, 0.5)), fill_pattern(graph))
+        init = GaussianState(init_mean, np.diag(np.full(6, 0.5)))
         opts = GviOptions(tol=0.0, max_iters=5, quad=gh_spec(6), record_loss=False)
         sparse = gvi_sparse_solve(graph, init, opts)
         state = GaussianState(init_mean, np.diag(np.full(6, 0.5)))
@@ -435,8 +445,7 @@ class TestSolverEquivalence:
         cfg = stereo.config
         graph = FactorGraph(1, (prior_factor(0, cfg.mu_p, cfg.s2_p),
                                 stereo_factor(0, stereo.z, cfg.f, cfg.b, cfg.s2_r)))
-        init = GaussianState(np.array([cfg.mu_p]), np.array([[1.0 / cfg.s2_p]]),
-                             fill_pattern(graph))
+        init = GaussianState(np.array([cfg.mu_p]), np.array([[1.0 / cfg.s2_p]]))
         opts = GviOptions(tol=0.0, max_iters=6, quad=gh_spec(20), record_loss=False)
         trace = gvi_sparse_solve(graph, init, opts)
         state = GaussianState(np.array([cfg.mu_p]), np.array([[1.0 / cfg.s2_p]]))
@@ -585,6 +594,18 @@ class TestChainSolves:
             total += truth.size
         assert 0.985 <= inside / total <= 0.999
 
+    @pytest.mark.parametrize("solve", [gvi_sparse_solve, gvi_dense_solve])
+    def test_start_outside_the_graph_fill_is_rejected(self, solve):
+        # the chain 0-1-2 fills (0, 1) and (1, 2), not (0, 2)
+        graph = FactorGraph(3, (prior_factor(0, 0.0, 1.0), odom_factor(0, 1, 1.0, 1.0),
+                                odom_factor(1, 2, 1.0, 1.0)))
+        outside, inside = np.eye(3), np.eye(3)
+        outside[0, 2] = outside[2, 0] = inside[0, 1] = inside[1, 0] = 0.1
+        with pytest.raises(ValueError, match="outside the graph fill"):
+            solve(graph, GaussianState(np.zeros(3), outside))
+        trace = solve(graph, GaussianState(np.zeros(3), inside), GviOptions(max_iters=1))
+        assert trace.iterations == 1
+
     def test_non_spd_mid_run_aborts_with_partial_trace(self):
         concave = Factor(
             indices=(0,),
@@ -592,7 +613,7 @@ class TestChainSolves:
             grad=lambda x: -x,
             hess=lambda x: np.full((x.shape[0], 1, 1), -1.0))
         graph = FactorGraph(1, (concave,))
-        init = GaussianState(np.zeros(1), np.eye(1), fill_pattern(graph))
+        init = GaussianState(np.zeros(1), np.eye(1))
         with pytest.raises(NonSPD) as err:
             gvi_sparse_solve(graph, init, GviOptions(record_loss=False))
         trace = err.value.trace
@@ -606,7 +627,7 @@ class TestChainSolves:
         # and the second iteration evaluates the factor at x = 0.
         graph = FactorGraph(1, (prior_factor(0, 0.0, 1.0),
                                 stereo_factor(0, 1.0, 0.0, 0.1, 0.09)))
-        init = GaussianState(np.array([5.0]), np.eye(1), fill_pattern(graph))
+        init = GaussianState(np.array([5.0]), np.eye(1))
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(EvaluationFailure, match=r"stereo\(0,\)") as err:
                 solve(graph, init, GviOptions(quad=gh_spec(1)))
@@ -727,7 +748,7 @@ class TestBatchedExpectations:
         graph = FactorGraph(2, (prior_factor(0, 20.0, 1.0), prior_factor(1, 0.0, 1.0),
                                 stereo_factor(0, 2.0, 400.0, 0.1, 0.09),
                                 stereo_factor(1, 2.0, 400.0, 0.1, 0.09)))
-        init = GaussianState(np.array([20.0, 0.0]), np.eye(2), fill_pattern(graph))
+        init = GaussianState(np.array([20.0, 0.0]), np.eye(2))
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(EvaluationFailure, match=r"stereo\(1,\)"):
                 gvi_sparse_solve(graph, init, GviOptions(quad=gh_spec(5), record_loss=False))

@@ -161,6 +161,14 @@ class TestTrapezoidPoints:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
+    def test_weights_are_the_trapezoid_rule(self):
+        # half the spacing at each axis's two ends; a 2-D weight is the product
+        _, dx = trapezoid_points(grid_spec(5, [(0.0, 2.0)]), 1)
+        assert dx.tolist() == [0.25, 0.5, 0.5, 0.5, 0.25]
+        points, dx = trapezoid_points(grid_spec(3, [(0.0, 2.0), (0.0, 4.0)]), 2)
+        assert points.tolist() == [[x, y] for x in (0.0, 1.0, 2.0) for y in (0.0, 2.0, 4.0)]
+        assert dx.tolist() == [0.5, 1.0, 0.5, 1.0, 2.0, 1.0, 0.5, 1.0, 0.5]
+
     def test_invalid_requests_still_raise(self):
         with pytest.raises(ValueError):
             trapezoid_points(grid_spec(11), 1)

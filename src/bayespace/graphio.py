@@ -31,9 +31,10 @@ _REGISTRY: Dict[str, Tuple[int, int, _Builder]] = {}
 
 
 def register_factor_type(kind: str, arity: int, nparams: int, builder: _Builder):
-    """Register a factor type id for text round-tripping."""
-    if " " in kind:
-        raise ValueError("factor type ids cannot contain spaces")
+    """Register a factor type id for text round-tripping: one token of the
+    format, with no whitespace and no '#'."""
+    if kind.split() != [kind] or "#" in kind:
+        raise ValueError(f"factor type id {kind!r} is not one token without '#'")
     _REGISTRY[kind] = (arity, nparams, builder)
 
 

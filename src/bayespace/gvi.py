@@ -33,7 +33,7 @@ from .elements import BayesElement, element_grad, element_hess
 from .errors import EvaluationFailure, NonSPD
 from .gaussian import IndefGaussian
 from .measures import GaussianMeasure, cholesky_or_raise
-from .quadrature import QuadratureSpec, gh_spec, tensor_rule
+from .quadrature import GAUSS_HERMITE, QuadratureSpec, gh_spec, tensor_rule
 from .variational import IterationTrace, _drive
 
 _MAX_FACTOR_DIM = 4
@@ -97,7 +97,8 @@ class FactorGraph:
         """A graph of built-in factors from ``(kind, indices, params)``
         triples of integer (F, arity) and (F, nparams) arrays, whose factors
         follow one another in graph order; triples of one kind join into one
-        block.  Raises ValueError naming the kind and the shapes otherwise."""
+        block, and a triple with no rows adds none.  Raises ValueError
+        naming the kind and the shapes otherwise."""
         groups: Dict[str, list] = {}
         start = 0
         for name, idx, params in blocks:
@@ -109,6 +110,8 @@ class FactorGraph:
                         if kind else "a built-in kind")
                 raise ValueError(f"{name!r} block: expected {want}, got {idx.dtype} indices "
                                  f"{idx.shape} and params {params.shape}")
+            if not len(idx):  # no graph holds an empty block
+                continue
             at = np.arange(start, start + len(idx))
             groups.setdefault(name, []).append((idx.astype(np.intp), params, at))
             start += len(idx)
@@ -267,6 +270,13 @@ def _cholesky_stack(cov: np.ndarray) -> np.ndarray:
     return low
 
 
+def _gh_rule(spec: QuadratureSpec, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The tensor Gauss-Hermite rule of ``spec`` on R^dim; the only kind GVI takes."""
+    if spec.kind != GAUSS_HERMITE:
+        raise ValueError(f"GVI expectations need a Gauss-Hermite rule, got kind {spec.kind!r}")
+    return tensor_rule(spec.nodes_per_dim, dim)
+
+
 def factor_expectations(factor: Factor, marginal: Tuple[np.ndarray, np.ndarray],
                         spec: QuadratureSpec,
                         with_value: bool = False):
@@ -279,7 +289,7 @@ def factor_expectations(factor: Factor, marginal: Tuple[np.ndarray, np.ndarray],
     k = factor.arity
     if k > _MAX_FACTOR_DIM:
         raise ValueError(f"factor support {k} exceeds the quadrature cap {_MAX_FACTOR_DIM}")
-    xi, w = tensor_rule(spec.nodes_per_dim, k)
+    xi, w = _gh_rule(spec, k)
     low = cholesky_or_raise(cov_k, "marginal covariance")
     x = np.asarray(mean_k, dtype=float) + xi @ low.T
     elem = factor.as_element()
@@ -347,7 +357,7 @@ class _Block(NamedTuple):
             values = np.array([o[2] for o in outs]) if with_value else None
             return (np.array([o[0] for o in outs]), np.array([o[1] for o in outs]), values)
         kind = self.kind
-        xi, w = tensor_rule(spec.nodes_per_dim, kind.arity)
+        xi, w = _gh_rule(spec, kind.arity)
         low_t = _cholesky_stack(cov).transpose(0, 2, 1)
         count = len(self.idx)
         e1 = np.empty(count)

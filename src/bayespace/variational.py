@@ -89,32 +89,29 @@ def reporting_grid(measure: GaussianMeasure) -> QuadratureSpec:
 
 
 def kl(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
-       normalize_target: bool = True) -> float:
-    """KL(q || p) with q normalized numerically on the grid.
+       log_zp: Optional[float] = None) -> float:
+    """KL(q || p) between the two PDFs, with both normalized on the grid.
 
-    With ``normalize_target`` the target's log-partition is included so the
-    value is the absolute divergence between the two PDFs; without it, the
-    target enters through its raw phi (the form the coordinate Hessian uses).
+    ``log_zp`` is p's log-partition on the grid, computed when not given.
+    Raises :class:`EvaluationFailure` when the divergence is not finite.
     """
     if spec.kind != GRID or spec.grid_bounds is None:
         raise ValueError("KL evaluation requires a grid quadrature with bounds")
     points, phi_q, w, log_zq = _grid_density(q, spec)
-    if normalize_target:
-        _, phi_p, _, log_zp = _grid_density(p, spec)
-    else:
-        with np.errstate(divide="ignore"):  # a pole's +inf phi is dropped below
-            phi_p = np.asarray(p.phi(points), dtype=float)
-    t = phi_p - phi_q
+    if log_zp is None:
+        log_zp = log_partition(p, spec)
+    with np.errstate(divide="ignore"):  # a pole's +inf phi is dropped below
+        t = np.asarray(p.phi(points), dtype=float) - phi_q
     # Isolated +inf target values carry no mass where qhat has underflowed.
     bad = ~np.isfinite(t)
     if bad.any():
         keep = ~(bad & (w < 1e-12 * w.max()))
-        if not np.isfinite(t[keep]).all():
-            return float("inf")
         t = t[keep]
         w = w[keep] / w[keep].sum()
-    value = float(w @ t) - log_zq
-    return value + log_zp if normalize_target else value
+    value = float(w @ t) - log_zq + log_zp
+    if not np.isfinite(value):
+        raise EvaluationFailure(f"KL is not finite: {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +258,11 @@ def _iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeas
         if not ig.spd:
             raise MeasureInvalid("estimate's Gaussian part is not positive-definite")
         try:
-            kl_value = kl(estimate, p, kl_grid, normalize_target=False)
             if log_zp is None:
                 log_zp = log_partition(p, kl_grid)
+            kl_value = kl(estimate, p, kl_grid, log_zp)
         except NotNormalizable as exc:
             raise NotNormalizable(f"estimate not normalizable: {exc}") from None
-        if not np.isfinite(kl_value + log_zp):
-            raise EvaluationFailure(f"KL is not finite: {kl_value + log_zp}")
         with np.errstate(all="ignore"):  # a norm that overflows raises below
             step_norm = float(np.linalg.norm(delta))
         if not np.isfinite(step_norm):
@@ -280,7 +275,7 @@ def _iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeas
             "covariances": next_measure.covariance,
             "step_norm": step_norm,
             "divergence": information(subtract(p, estimate), measure, quad),
-            "kl": kl_value + log_zp,
+            "kl": kl_value,
         }
         return (next_measure, estimate, log_zp), record
 

@@ -11,7 +11,7 @@ from bayespace.elements import (BayesElement, add, constant_element, divergence,
                                 gaussian_element, information, inner_product,
                                 log_partition, moment_nodes, normalize, scale,
                                 stochastic_derivative, subtract)
-from bayespace.errors import DimensionMismatch, NotNormalizable
+from bayespace.errors import DimensionMismatch, EvaluationFailure, NotNormalizable
 from bayespace.hermite import HermiteBasis1D, basis_element
 from bayespace.measures import GaussianMeasure
 from bayespace.quadrature import gh_spec, grid_spec
@@ -35,6 +35,10 @@ class TestGaussianMeasure:
         with pytest.raises(NonSPD) as err:
             GaussianMeasure([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
         assert err.value.minor == 2
+
+    def test_rejects_mean_and_covariance_of_different_sizes(self):
+        with pytest.raises(ValueError, match=r"^mean \(2,\) and covariance \(1, 1\) disagree$"):
+            GaussianMeasure([0.0, 0.0], [[1.0]])
 
     def test_cholesky_cached_and_consistent(self):
         nu = GaussianMeasure([1.0, -1.0], [[2.0, 0.5], [0.5, 1.0]])
@@ -190,6 +194,15 @@ class TestNormalize:
             moment_nodes(constant_element(), GRID8)
         _, w = moment_nodes(gaussian_element([0.0], [[1.0]]), GRID8)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_nan_phi_on_the_grid_is_an_evaluation_failure(self):
+        p = BayesElement(1, lambda x: np.where(x[:, 0] > 1.0, np.nan, 0.5 * x[:, 0] ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationFailure,
+                               match="^phi returned NaN on the normalization grid$"):
+                log_partition(p, GRID8)
 
 
 class TestInnerProduct:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -91,6 +92,13 @@ class TestConfig:
         path.write_text("seed = 9\nmu_p = 21.5\nlinear = true\n# comment\n")
         cfg = ExperimentConfig.from_file(path)
         assert cfg.seed == 9 and cfg.mu_p == 21.5 and cfg.linear is True
+
+    def test_from_file_line_without_equals_exits_2_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "cfg"
+        path.write_text("seed 3\n")
+        code = main(["gvi-demo", "--out", str(tmp_path / "out"), "--config", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"bh: configuration error: {path}:1: expected key=value\n"
 
     def test_from_file_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg"
@@ -463,14 +471,14 @@ class TestCLI:
                                                               command, line, expected):
         cfg_file = tmp_path / "edge.cfg"
         cfg_file.write_text(line + "\n")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([command, "--out", str(tmp_path / "out"), "--max-iters", "5",
                          "--config", str(cfg_file)])
         assert code == expected
         captured = capsys.readouterr()
-        if expected == 2:
-            assert "configuration error" in captured.err
-        else:
+        _assert_only_bh_stderr(code, captured.err, caught)
+        if expected == 3:
             assert json.loads(captured.out)["error"] == "EvaluationFailure"
 
     @pytest.mark.parametrize("line", [
@@ -575,6 +583,23 @@ class TestCLI:
                          "--config", str(cfg_file)])
         assert code == 0
 
+    def test_projection_with_mass_on_the_pole_exits_3(self, tmp_path, capsys):
+        """The informed measure's projection puts mass on the pole node x = 0,
+        where the posterior's phi is +inf: KL is not finite, and bh says so
+        rather than writing Infinity."""
+        cfg_file = tmp_path / "pole.cfg"
+        cfg_file.write_text("mu_p = 3.0\ninformed_mean = 0.5\ninformed_var = 25.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["stereo-project", "--seed", "0", "--out", str(tmp_path / "out"),
+                         "--config", str(cfg_file)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["error"] == "EvaluationFailure"
+        assert report["message"] == "KL is not finite: inf"
+
 
 _FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)
                if "float" in str(f.type)]
@@ -603,16 +628,36 @@ def test_cli_exits_only_with_documented_codes(tmp_path, capsys, monkeypatch, com
     argv = [command, "--out", str(work / "out"), "--max-iters", "5",
             "--config", str(cfg_file), *extra]
     ran = False
-    try:
-        with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
             code = main(argv)
-        ran = True
-    except SystemExit as exit_:  # argparse rejects the argv, or --help
-        code = exit_.code
+            ran = True
+        except SystemExit as exit_:  # argparse rejects the argv, or --help
+            code = exit_.code
     captured = capsys.readouterr()
     assert code in (0, 2, 3)
+    if ran:
+        _assert_only_bh_stderr(code, captured.err, caught)
+    else:  # --help prints to stdout; a rejected argv prints argparse's usage and error
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert captured.err == ""
+        else:
+            assert captured.err.startswith("usage: bh")
+            assert re.match(r"bh( [\w-]+)?: error: ", captured.err.splitlines()[-1])
     if ran and code == 0:
         _assert_finite_outputs(work / captured.out.rsplit(" outputs in ", 1)[1].strip())
+
+
+def _assert_only_bh_stderr(code: int, err: str, caught):
+    """A run of ``main`` raised no warning, and its stderr holds only bh's own
+    output: nothing on exit 0 or 3, one configuration error line on exit 2."""
+    assert [str(w.message) for w in caught] == []
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("bh: configuration error: ")
+    else:
+        assert err == ""
 
 
 def _assert_finite_outputs(out: Path):

@@ -149,6 +149,13 @@ class TestReconstruction:
         assert np.allclose(np.linalg.inv(got.info), expected_cov, rtol=1e-10)
 
 
+    def test_zero_second_coordinates_are_singular(self):
+        nu = GaussianMeasure([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(SingularInformation,
+                           match="^coordinate matrix S is numerically singular$"):
+            gaussian_from_coordinates(np.ones(2), np.zeros(3), nu)
+
+
 class TestInformation:
     def test_three_routes_agree(self):
         rng = np.random.default_rng(10)

@@ -116,6 +116,26 @@ class TestRoundTrip:
         assert back.factors[0].kind == "cubic-pull"
         assert back.factors[0].params == (0.3,)
 
+    @pytest.mark.parametrize("kind", ["a b", "a\tb", "a#b", ""])
+    def test_type_id_must_be_one_token_without_a_comment(self, kind):
+        def builder(idx, params):
+            return Factor(indices=tuple(idx), phi=lambda x: x[:, 0] ** 2, kind=kind)
+
+        with pytest.raises(ValueError, match="is not one token without '#'"):
+            register_factor_type(kind, 1, 0, builder)
+        with pytest.raises(ValueError, match="is not registered for serialization"):
+            dumps_graph(FactorGraph(1, (builder([0], []),)))
+
+    def test_empty_block_triple_dumps_like_the_graph_without_it(self):
+        blocks = [("prior", np.array([[0]]), np.array([[0.5, 2.0]])),
+                  ("odom", np.array([[0, 1]]), np.array([[1.25, 0.01]]))]
+        empty = ("range", np.zeros((0, 2), int), np.zeros((0, 3)))
+        graph = FactorGraph.from_blocks(2, blocks[:1] + [empty] + blocks[1:])
+        assert [b.kind.name for b in graph.blocks] == ["prior", "odom"]
+        text = dumps_graph(graph)
+        assert text == dumps_graph(FactorGraph.from_blocks(2, blocks))
+        assert dumps_graph(loads_graph(text)) == text
+
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,

@@ -21,7 +21,7 @@ from bayespace.gvi import (Factor, FactorGraph, GaussianState, GviOptions, assem
 from bayespace.measures import GaussianMeasure, cholesky_or_raise
 from bayespace import oracles
 from bayespace.oracles import gvi_dense_solve, gvi_step_dense, joint_element
-from bayespace.quadrature import gh_spec
+from bayespace.quadrature import gh_spec, grid_spec
 from bayespace.variational import GaussianSubspace, IterateOptions, iterate, reporting_grid
 
 SPEC = gh_spec(10)
@@ -91,6 +91,14 @@ class TestFactorBasics:
         with pytest.raises(ValueError) as err:
             FactorGraph(3, (factor,))
         assert str(err.value) == f"'range' factor: expected 2 indices and 3 params, {got}"
+
+    def test_graph_rejects_a_negative_variable_count(self):
+        with pytest.raises(ValueError, match="^num_vars must be nonnegative, got -1$"):
+            FactorGraph.from_blocks(-1, [])
+
+    def test_state_rejects_mean_and_info_of_different_sizes(self):
+        with pytest.raises(ValueError, match=r"^mean \(2,\) and info \(3, 3\) disagree$"):
+            GaussianState(np.zeros(2), np.eye(3))
 
     def test_odometry_hessian_structure(self):
         f = odom_factor(0, 1, 0.7, 0.25)
@@ -204,6 +212,23 @@ class TestFactorExpectations:
         g_e, h_e = expected_derivatives(f.as_element(), nu, gh_spec(20))
         assert np.allclose(g_f, g_e, rtol=1e-12)
         assert np.allclose(h_f, h_e, rtol=1e-12)
+
+
+    def test_support_above_the_cap_is_rejected(self):
+        f = Factor(indices=(0, 1, 2, 3, 4), phi=lambda x: x.sum(axis=1))
+        with pytest.raises(ValueError, match="^factor support 5 exceeds the quadrature cap 4$"):
+            factor_expectations(f, (np.zeros(5), np.eye(5)), SPEC)
+
+    def test_grid_rule_is_rejected_on_both_routes(self):
+        """GVI's expectations are Gauss-Hermite; a grid spec raises, not runs as one."""
+        spec = grid_spec(10, [(-100.0, 100.0)])
+        graph = FactorGraph(2, (prior_factor(0, 0.0, 1.0), range_factor(0, 1, 5.0, 0.25, 2.0)))
+        match = "^GVI expectations need a Gauss-Hermite rule, got kind 'grid'$"
+        with pytest.raises(ValueError, match=match):
+            factor_expectations(graph.factors[0], (np.zeros(1), np.eye(1)), spec)
+        with pytest.raises(ValueError, match=match):
+            gvi_sparse_solve(graph, GaussianState(np.array([0.0, 3.0]), np.eye(2)),
+                             GviOptions(quad=spec))
 
 
 class TestAssemble:

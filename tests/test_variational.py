@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +12,14 @@ from bayespace.elements import (BayesElement, constant_element, equivalent,
                                 gaussian_element, information, inner_product,
                                 log_partition, moment_nodes, subtract)
 from bayespace import variational
-from bayespace.errors import MeasureInvalid, NotNormalizable, SingularGram
+from bayespace.errors import EvaluationFailure, MeasureInvalid, NotNormalizable, SingularGram
 from bayespace.gaussian import gaussian_basis, project_to_gaussian
 from bayespace.hermite import HermiteBasis1D, hermite_poly, multivariate_basis, reconstruct
 from bayespace.measures import GaussianMeasure
 from bayespace.oracles import (fim, iterate_newton, kernel_apply, kl_gradient, kl_hessian,
                                kl_hessian_fim, measure_derivative_ip, reconstruct_in_basis,
                                scale_by_function)
-from bayespace.quadrature import gh_spec, grid_spec
+from bayespace.quadrature import gh_spec, grid_spec, trapezoid_points
 from bayespace.variational import (BasisSet, GaussianSubspace, HermiteSubspace,
                                    IterateOptions, IterationTrace, basis_projections,
                                    gram, iterate, kl, project, reporting_grid, _solve_gram)
@@ -191,6 +192,24 @@ class TestKL:
             q = gaussian_element([rng.normal()], [[rng.uniform(0.5, 2)]])
             p = gaussian_element([rng.normal()], [[rng.uniform(0.5, 2)]])
             assert kl(q, p, KL_GRID) >= -1e-9
+
+
+    def test_requires_a_bounded_grid(self):
+        p = gaussian_element([0.3], [[1.5]])
+        with pytest.raises(ValueError, match="^KL evaluation requires a grid quadrature"):
+            kl(p, p, SPEC)
+
+    def test_mass_on_a_pole_node_is_an_evaluation_failure(self):
+        """p is |x| exp(-x^2 / 2): its phi is +inf at the grid node x = 0,
+        where q has mass, so the grid's KL is not finite."""
+        grid = grid_spec(101, [(-8.0, 8.0)])
+        assert 0.0 in trapezoid_points(grid, 1)[0]
+        p = BayesElement(1, lambda x: 0.5 * x[:, 0] ** 2 - np.log(np.abs(x[:, 0])))
+        q = gaussian_element([0.0], [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationFailure, match="^KL is not finite: inf$"):
+                kl(q, p, grid)
 
 
 class TestKLDerivatives:

@@ -12,9 +12,8 @@ from .gaussian import (GaussianBasis, IndefGaussian, expected_derivatives, gauss
 from .gvi import (Factor, FactorGraph, GaussianState, GviOptions, assemble,
                   factor_expectations, gvi_sparse_solve, marginals_for_factors,
                   odom_factor, prior_factor, range_factor, stereo_factor)
-from .hermite import (HermiteBasis1D, HermiteBasisND, basis_element,
-                      hermite_poly, multivariate_basis, reconstruct)
-from .matrixops import DuplicationOps, build_duplication, vec, vech, unvech
+from .hermite import HermiteBasis1D, HermiteBasisND, hermite_poly, multivariate_basis, reconstruct
+from .matrixops import DuplicationOps, build_duplication, vec, vech, vech_weights, unvech
 from .measures import GaussianMeasure
 from .oracles import (coordinates, coordinates_via_derivatives, fim, gaussian_coordinates_direct,
                       gaussian_information, gvi_dense_solve, gvi_step_dense, iterate_newton,

@@ -165,14 +165,16 @@ def _write_summary(path: Path, payload: Dict) -> None:
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
-    """Validate the config and create its output directory."""
+    """Validate the config; the run creates the returned directory with `_create`."""
     cfg.validate()
-    out = Path(cfg.out_dir)
+    return Path(cfg.out_dir)
+
+
+def _create(out: Path) -> None:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot create the output directory: {err}") from None
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +277,7 @@ def run_stereo_project(cfg: ExperimentConfig) -> Dict:
             subtract(problem.posterior, q), nu, problem.sweep_grid())
         scalars[f"mean_{name}"] = float(proj.mean_like[0])
         scalars[f"variance_{name}"] = float(1.0 / proj.info[0, 0])
+    _create(out)
     return _write_stereo(out, problem, "stereo-project", columns,
                          {**scalars, "not_normalizable_measures": not_normalizable})
 
@@ -300,6 +303,7 @@ def run_stereo_iterate(cfg: ExperimentConfig) -> Dict:
     columns["iter_0"] = _density_column(problem.prior, grid)
     for i, est in enumerate(trace.estimates, start=1):
         columns[f"iter_{i}"] = _density_column(est, grid)
+    _create(out)
     _write_csv(out / "series.csv",
                ["iteration", "kl", "divergence", "step_norm"],
                [range(1, trace.iterations + 1), trace.kl, trace.divergence,
@@ -342,6 +346,7 @@ def run_hermite_sweep(cfg: ExperimentConfig) -> Dict:
         except NotNormalizable:
             not_normalizable.append(m)
 
+    _create(out)
     _write_csv(out / "divergence.csv", ["basis_functions", "divergence"],
                [orders, divergences])
     return _write_stereo(out, problem, "hermite-sweep", columns, {
@@ -372,6 +377,7 @@ def run_hermite_iterate(cfg: ExperimentConfig) -> Dict:
         f"final_m{order}": _density_column(trace_m.estimates[-1], grid),
     }
     n = max(trace2.iterations, trace_m.iterations)
+    _create(out)
     _write_csv(out / "series.csv", ["iteration", "kl_m2", f"kl_m{order}"],
                [range(1, n + 1), _padded(trace2.kl, n), _padded(trace_m.kl, n)])
     return _write_stereo(out, problem, "hermite-iterate", columns, {
@@ -429,7 +435,8 @@ def make_chain(cfg: ExperimentConfig, trial: int = 0,
     mean = np.zeros(np_ + nl)
     mean[1:np_] = np.cumsum(odometry)
     z0 = ranges[0]
-    mean[np_:] = z0 if cfg.linear else np.sqrt(np.maximum(z0 * z0 - h * h, h * h))
+    with np.errstate(over="ignore"):  # an infinite start fails GVI's finiteness checks
+        mean[np_:] = z0 if cfg.linear else np.sqrt(np.maximum(z0 * z0 - h * h, h * h))
     var = np.concatenate([s0**2 + np.arange(np_) * su**2, np.full(nl, 1.0)])
     info = np.diag(1.0 / (4.0 * var))
     return graph, truth, GaussianState(mean, info)
@@ -479,6 +486,7 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
     runtime = time.perf_counter() - started
 
     graph, truth, tr_vi, tr_map, columns = first
+    _create(out)
     write_new_text(out / "graph.txt", dumps_graph(graph))
     kinds = ["pose"] * cfg.n_poses + ["landmark"] * cfg.n_landmarks
     _write_csv(out / "errors.csv",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .elements import BayesElement, _quadratic_element, _row_elements, element_grad, element_hess
 from .errors import EvaluationFailure, SingularInformation
-from .matrixops import DuplicationOps, build_duplication, unvech, vech, vech_indices
+from .matrixops import unvech, vech, vech_indices, vech_weights
 from .measures import GaussianMeasure
 from .quadrature import QuadratureSpec, measure_nodes
 
@@ -28,20 +28,19 @@ class GaussianBasis:
     """Orthonormal basis for the indefinite-Gaussian subspace under ``measure``."""
 
     measure: GaussianMeasure
-    ops: DuplicationOps = field(init=False, repr=False)
     elements: List[BayesElement] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.measure.dim
-        object.__setattr__(self, "ops", build_duplication(n))
         object.__setattr__(self, "elements", _row_elements(self.phi_matrix, n, len(self)))
 
     def phi_matrix(self, x: np.ndarray) -> np.ndarray:
         """The basis at the states ``x`` as a (K, m) matrix: the N standardized
-        coordinates, then sqrt(0.5 D^T D) times their vech products."""
+        coordinates, then their vech products scaled by ``vech_weights``."""
+        n = self.measure.dim
         xi = self.measure.standardize(x)
-        rows, cols = vech_indices(self.measure.dim)
-        return np.vstack([xi.T, self.ops.sqrt_half_dtd @ (xi[:, rows] * xi[:, cols]).T])
+        rows, cols = vech_indices(n)
+        return np.vstack([xi.T, vech_weights(n)[:, None] * (xi[:, rows] * xi[:, cols]).T])
 
     def __len__(self) -> int:
         n = self.measure.dim
@@ -100,14 +99,14 @@ def gaussian_coordinates(p: BayesElement, measure: GaussianMeasure,
                          spec: QuadratureSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Coordinates of p in the Gaussian basis, via expected derivatives.
 
-    alpha_1 = L^T E[d phi], alpha_2 = sqrt(0.5 D^T D) vech(L^T E[d^2 phi] L);
-    Stein's lemma makes these equal to the direct inner products <g, p>.
+    alpha_1 = L^T E[d phi], alpha_2 = sqrt(0.5 D^T D) vech(L^T E[d^2 phi] L),
+    where sqrt(0.5 D^T D) is the diagonal ``vech_weights``; Stein's lemma makes
+    these equal to the direct inner products <g, p>.
     """
     g, h = expected_derivatives(p, measure, spec)
-    ops = build_duplication(measure.dim)
     chol = measure.cholesky
     alpha1 = chol.T @ g
-    alpha2 = ops.sqrt_half_dtd @ vech(chol.T @ h @ chol)
+    alpha2 = vech_weights(measure.dim) * vech(chol.T @ h @ chol)
     return alpha1, alpha2
 
 
@@ -133,8 +132,7 @@ def gaussian_from_coordinates(alpha1: np.ndarray, alpha2: np.ndarray,
     With S the symmetric matrix encoded by alpha_2, the member has mean
     mu - L S^{-1} alpha_1 and covariance L S^{-1} L^T.
     """
-    ops = build_duplication(measure.dim)
-    s = unvech(np.linalg.solve(ops.sqrt_half_dtd, np.asarray(alpha2, dtype=float)))
+    s = unvech(np.asarray(alpha2, dtype=float) / vech_weights(measure.dim))
     chol = measure.cholesky
     if np.linalg.cond(s) > _COND_LIMIT:
         raise SingularInformation("coordinate matrix S is numerically singular")

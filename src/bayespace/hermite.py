@@ -90,13 +90,6 @@ class HermiteBasis1D:
         return self.order
 
 
-def basis_element(n: int, basis: HermiteBasis1D) -> BayesElement:
-    """The n-th basis function (1-based, matching polynomial degree)."""
-    if not 1 <= n <= basis.order:
-        raise ValueError(f"order {n} outside basis range 1..{basis.order}")
-    return basis.elements[n - 1]
-
-
 def reconstruct(alpha: Sequence[float], basis: HermiteBasis1D) -> BayesElement:
     """The element with the given coordinates: phi = sum alpha_n H_n(u)/sqrt(n!)."""
     alpha = np.asarray(alpha, dtype=float)

@@ -22,6 +22,15 @@ def vech_indices(n: int):
     return rows, cols
 
 
+@functools.lru_cache(maxsize=None)
+def vech_weights(n: int) -> np.ndarray:
+    """diag(sqrt(0.5 D^T D)) in vech order: 1/sqrt(2) on A's diagonal, else 1 (read-only)."""
+    rows, cols = vech_indices(n)
+    w = np.where(rows == cols, np.sqrt(0.5), 1.0)
+    w.flags.writeable = False
+    return w
+
+
 def vech(a: np.ndarray) -> np.ndarray:
     """Stack the lower-triangular part column by column (on-and-below diagonal)."""
     a = np.asarray(a)
@@ -43,23 +52,20 @@ def unvech(v: np.ndarray) -> np.ndarray:
 
 def duplication_matrix(n: int) -> np.ndarray:
     """D with vec(A) = D vech(A) for symmetric n x n A."""
-    m = n * (n + 1) // 2
-    d = np.zeros((n * n, m))
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = 1.0
-        d[:, k] = vec(unvech(e))
+    rows, cols = vech_indices(n)
+    d = np.zeros((n * n, rows.size))
+    k = np.arange(rows.size)
+    d[rows + n * cols, k] = d[cols + n * rows, k] = 1.0  # vec is column-major
     return d
 
 
 @dataclass(frozen=True)
 class DuplicationOps:
-    """Duplication matrix, its pseudoinverse, and sqrt(0.5 D^T D) for one dimension."""
+    """Duplication matrix and its pseudoinverse for one dimension."""
 
     n: int
     d: np.ndarray
     d_dagger: np.ndarray
-    sqrt_half_dtd: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,12 +77,7 @@ def build_duplication(n: int) -> DuplicationOps:
     if not 1 <= n <= 64:
         raise ValueError(f"dimension must be in [1, 64], got {n}")
     d = duplication_matrix(n)
-    dtd = d.T @ d
-    d_dagger = np.linalg.solve(dtd, d.T)
-    # 0.5 D^T D happens to be diagonal in the vech ordering, but the root is
-    # taken by eigendecomposition rather than assuming that structure.
-    w, v = np.linalg.eigh(0.5 * dtd)
-    sqrt_half = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-    for a in (d, d_dagger, sqrt_half):
+    d_dagger = np.linalg.solve(d.T @ d, d.T)
+    for a in (d, d_dagger):
         a.flags.writeable = False
-    return DuplicationOps(n=n, d=d, d_dagger=d_dagger, sqrt_half_dtd=sqrt_half)
+    return DuplicationOps(n=n, d=d, d_dagger=d_dagger)

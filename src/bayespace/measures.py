@@ -79,6 +79,3 @@ class GaussianMeasure:
         logdet = 2.0 * np.sum(np.log(np.diag(self.cholesky)))
         out = -0.5 * (quad + logdet + self.dim * np.log(2.0 * np.pi))
         return out if delta.ndim > 1 else float(out[0])
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_density(x))

@@ -14,7 +14,7 @@ from .gaussian import IndefGaussian, expected_derivatives, gaussian_basis
 from .gvi import (FactorGraph, GaussianState, GviOptions, _gvi_loop, _marginals, assemble,
                   factor_expectations)
 from .hermite import HermiteBasis1D, hermite_poly, reconstruct as hermite_reconstruct
-from .matrixops import build_duplication, vec
+from .matrixops import build_duplication, vec, vech_weights
 from .measures import GaussianMeasure, cholesky_or_raise
 from .quadrature import QuadratureSpec, default_grid_bounds, expect, grid_spec, measure_nodes
 from .variational import (Coordinates, IterateOptions, IterationTrace, SubspaceSpec, _iterate,
@@ -48,7 +48,7 @@ def gaussian_information(g: IndefGaussian, measure: GaussianMeasure,
         chol = measure.cholesky
         ops = build_duplication(measure.dim)
         alpha1 = chol.T @ info_p @ dmu
-        alpha2 = ops.sqrt_half_dtd @ (ops.d_dagger @ vec(chol.T @ info_p @ chol))
+        alpha2 = vech_weights(measure.dim) * (ops.d_dagger @ vec(chol.T @ info_p @ chol))
         return 0.5 * float(alpha1 @ alpha1 + alpha2 @ alpha2)
     if route == "trace":
         a = info_p @ sigma @ info_p

@@ -98,10 +98,12 @@ def kl(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
     if spec.kind != GRID or spec.grid_bounds is None:
         raise ValueError("KL evaluation requires a grid quadrature with bounds")
     points, phi_q, w, log_zq = _grid_density(q, spec)
-    if log_zp is None:
-        log_zp = log_partition(p, spec)
-    with np.errstate(divide="ignore"):  # a pole's +inf phi is dropped below
-        t = np.asarray(p.phi(points), dtype=float) - phi_q
+    if log_zp is None:  # one read of p's phi gives its log-partition and the integrand
+        _, phi_p, _, log_zp = _grid_density(p, spec)
+    else:
+        with np.errstate(divide="ignore"):  # a pole's +inf phi is dropped below
+            phi_p = np.asarray(p.phi(points), dtype=float)
+    t = phi_p - phi_q
     # Isolated +inf target values carry no mass where qhat has underflowed.
     bad = ~np.isfinite(t)
     if bad.any():

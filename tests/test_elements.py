@@ -12,7 +12,7 @@ from bayespace.elements import (BayesElement, add, constant_element, divergence,
                                 log_partition, moment_nodes, normalize, scale,
                                 stochastic_derivative, subtract)
 from bayespace.errors import DimensionMismatch, EvaluationFailure, NotNormalizable
-from bayespace.hermite import HermiteBasis1D, basis_element
+from bayespace.hermite import HermiteBasis1D
 from bayespace.measures import GaussianMeasure
 from bayespace.quadrature import gh_spec, grid_spec
 
@@ -29,6 +29,15 @@ class TestGaussianMeasure:
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(ValueError):
             GaussianMeasure([0.0, 0.0], [[1.0, 0.3], [0.1, 1.0]])
+
+    @pytest.mark.parametrize("skew, symmetric", [(1e-13, True), (1e-11, False)])
+    def test_symmetry_tolerance_is_1e_12_of_the_largest_entry(self, skew, symmetric):
+        cov = [[2.0, 0.5 + skew], [0.5, 1.0]]  # tolerance 2e-12
+        if symmetric:
+            assert GaussianMeasure([0.0, 0.0], cov).covariance[0, 1] == 0.5 + 0.5 * skew
+        else:
+            with pytest.raises(ValueError, match="^covariance is not symmetric$"):
+                GaussianMeasure([0.0, 0.0], cov)
 
     def test_rejects_non_positive_definite(self):
         from bayespace.errors import NonSPD
@@ -47,7 +56,7 @@ class TestGaussianMeasure:
     def test_density_normalized(self):
         nu = GaussianMeasure([0.5], [[2.0]])
         xs = np.linspace(-12, 13, 20001)[:, None]
-        assert np.trapezoid(nu.density(xs), xs[:, 0]) == pytest.approx(1.0, abs=1e-9)
+        assert np.trapezoid(np.exp(nu.log_density(xs)), xs[:, 0]) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestVectorOperations:
@@ -141,6 +150,19 @@ class TestNormalize:
         c, _ = normalize(gaussian_element([0.0], [[1.0]]), SPEC, measure=std_normal_1d)
         assert c == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-10)
 
+    @pytest.mark.parametrize("var, normalizable", [(1.5, True), (2.0, False)])
+    def test_extreme_gh_nodes_may_carry_a_thousandth(self, std_normal_1d, var, normalizable):
+        # Under 10 Gauss-Hermite nodes of N(0, 1), the first and last node carry
+        # 3.6e-4 of the integral of N(0, 1.5)'s density and 2.2e-3 of N(0, 2)'s.
+        p = gaussian_element([0.0], [[var]])
+        if normalizable:
+            log_z = log_partition(p, gh_spec(10), std_normal_1d)
+            assert log_z == pytest.approx(0.5 * np.log(2 * np.pi * var), abs=1e-6)
+        else:
+            with pytest.raises(NotNormalizable,
+                               match="^extreme quadrature nodes dominate the integral$"):
+                log_partition(p, gh_spec(10), std_normal_1d)
+
     def test_linear_exponent_not_normalizable(self, std_normal_1d):
         b1 = BayesElement(1, lambda x: x[:, 0])
         with pytest.raises(NotNormalizable):
@@ -212,7 +234,7 @@ class TestInnerProduct:
 
     def test_hermite_orthogonality(self, std_normal_1d):
         basis = HermiteBasis1D(2, std_normal_1d)
-        h1, h2 = basis_element(1, basis), basis_element(2, basis)
+        h1, h2 = basis.elements[0], basis.elements[1]
         assert inner_product(h1, h2, std_normal_1d, SPEC) == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_self_inner_product_value(self, std_normal_1d):

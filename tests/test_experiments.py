@@ -70,6 +70,13 @@ def read_csv(path):
     return cols
 
 
+def read_summary(out: Path, **loads) -> dict:
+    """``out``'s summary.json, which must be its own canonical JSON text."""
+    text = (out / "summary.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    return json.loads(text, **loads)
+
+
 def densities_integrate_to_one(path):
     cols = read_csv(path)
     x = cols.pop("x")
@@ -356,7 +363,7 @@ class TestCLI:
     def test_success_exit_code(self, tmp_path, capsys):
         code = main(["stereo-project", "--out", str(tmp_path), "--seed", "3"])
         assert code == 0
-        assert (tmp_path / "summary.json").exists()
+        assert read_summary(tmp_path)["experiment"] == "stereo-project"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["stereo-project", "--out", str(tmp_path), "--nodes", "99"])
@@ -381,13 +388,28 @@ class TestCLI:
         assert json.loads(capsys.readouterr().out)["error"] == "NotNormalizable"
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("command, lines, expected", [
+        ("stereo-project", "mu_p = 3.0\ninformed_mean = 0.5\ninformed_var = 25.0\n", 3),
+        ("stereo-project", "x_true = 0\n", 2),
+        ("hermite-iterate", "basis = 3\n", 3),
+        ("gvi-demo", "range_sigma = 1e154\n", 3),
+    ])
+    def test_failed_run_creates_no_output_directory(self, tmp_path, capsys, command, lines,
+                                                    expected):
+        cfg_file = tmp_path / "fail.cfg"
+        cfg_file.write_text(lines)
+        code = main([command, "--seed", "0", "--out", str(tmp_path / "D" / "E"),
+                     "--config", str(cfg_file)])
+        assert code == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fail.cfg"]
+
     def test_config_file_flow(self, tmp_path):
         cfg_file = tmp_path / "demo.cfg"
         cfg_file.write_text("trials = 1\nn_poses = 6\nn_landmarks = 2\nseed = 4\n")
         code = main(["gvi-demo", "--out", str(tmp_path / "out"),
                      "--config", str(cfg_file)])
         assert code == 0
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        summary = read_summary(tmp_path / "out")
         assert summary["config"]["n_poses"] == 6
 
     @pytest.mark.parametrize("line", ["nodes = abc", "trials = 2.5", "z = zero",
@@ -517,7 +539,9 @@ class TestCLI:
         ("range_sigma = 1e-154", "EvaluationFailure"), ("range_sigma = 1e-153", "NonSPD"),
         ("odom_sigma = 1e-154", "EvaluationFailure"),
         ("range_offset = 1e154", "EvaluationFailure"),
-        ("range_offset = 1e150", "EvaluationFailure")])
+        ("range_offset = 1e150", "EvaluationFailure"),
+        # seed 0 draws a first range whose square overflows in the initial mean
+        ("range_sigma = 1e154\nseed = 0", "EvaluationFailure")])
     def test_chain_factor_that_overflows_exits_3_without_a_warning(self, tmp_path, capsys,
                                                                    line, error):
         # the kind formulas overflow at the quadrature nodes; the typed error reports it
@@ -666,7 +690,7 @@ def _assert_finite_outputs(out: Path):
     def reject(constant):
         raise AssertionError(f"summary.json holds {constant}")
 
-    json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    read_summary(out, parse_constant=reject)
     for path in out.glob("*.csv"):
         for line in path.read_text().splitlines()[1:]:
             for cell in line.split(","):

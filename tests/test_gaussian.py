@@ -7,8 +7,8 @@ from bayespace.elements import BayesElement, constant_element, equivalent, gauss
 from bayespace.errors import SingularInformation
 from bayespace.gaussian import (IndefGaussian, gaussian_basis, gaussian_coordinates,
                                 gaussian_from_coordinates, project_to_gaussian)
-from bayespace.hermite import HermiteBasis1D, basis_element
-from bayespace.matrixops import build_duplication, vech
+from bayespace.hermite import HermiteBasis1D
+from bayespace.matrixops import vech, vech_weights
 from bayespace.measures import GaussianMeasure
 from bayespace.oracles import gaussian_coordinates_direct, gaussian_information
 from bayespace.quadrature import gh_spec
@@ -43,9 +43,9 @@ class TestBasis:
     def test_one_dimensional_matches_hermite_pair(self, std_normal_1d):
         basis = gaussian_basis(std_normal_1d)
         hermite = HermiteBasis1D(2, std_normal_1d)
-        assert equivalent(basis.elements[0], basis_element(1, hermite))
+        assert equivalent(basis.elements[0], hermite.elements[0])
         # second functions differ by the constant 1/sqrt(2) only
-        assert equivalent(basis.elements[1], basis_element(2, hermite))
+        assert equivalent(basis.elements[1], hermite.elements[1])
 
 
 class TestCoordinates:
@@ -55,9 +55,8 @@ class TestCoordinates:
             nu = random_measure(rng, n)
             p = gaussian_element(nu.mean, nu.covariance)
             a1, a2 = gaussian_coordinates(p, nu, SPEC)
-            ops = build_duplication(n)
             assert np.abs(a1).max() < 1e-10
-            assert np.allclose(a2, ops.sqrt_half_dtd @ vech(np.eye(n)), atol=1e-10)
+            assert np.allclose(a2, vech_weights(n) * vech(np.eye(n)), atol=1e-10)
         # one-dimensional special case: alpha_2 = 1/sqrt(2)
         nu1 = GaussianMeasure([0.0], [[1.0]])
         _, a2 = gaussian_coordinates(gaussian_element([0.0], [[1.0]]), nu1, SPEC)
@@ -119,6 +118,16 @@ class TestProjection:
         with pytest.raises(SingularInformation):
             project_to_gaussian(linear, nu, SPEC)
 
+    @pytest.mark.parametrize("cond, singular", [(1e11, False), (1e13, True)])
+    def test_information_condition_limit_is_1e12(self, cond, singular):
+        nu = GaussianMeasure([0.0, 0.0], np.eye(2))
+        target = gaussian_element([0.0, 0.0], np.diag([1.0, cond]))  # info diag(1, 1/cond)
+        if singular:
+            with pytest.raises(SingularInformation, match="numerically singular$"):
+                project_to_gaussian(target, nu, SPEC)
+        else:
+            assert project_to_gaussian(target, nu, SPEC).info[1, 1] == pytest.approx(1 / cond)
+
 
 class TestReconstruction:
     def test_from_coordinates_round_trip(self):
@@ -137,10 +146,9 @@ class TestReconstruction:
         # mean = mu - L S^{-1} alpha_1, covariance = L S^{-1} L^T
         rng = np.random.default_rng(9)
         nu = random_measure(rng, 2)
-        ops = build_duplication(2)
         s = random_spd(rng, 2)
         alpha1 = rng.standard_normal(2)
-        alpha2 = ops.sqrt_half_dtd @ vech(s)
+        alpha2 = vech_weights(2) * vech(s)
         got = gaussian_from_coordinates(alpha1, alpha2, nu)
         chol = nu.cholesky
         expected_mean = nu.mean - chol @ np.linalg.solve(s, alpha1)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from bayespace.elements import equivalent, gaussian_element, information, normalize, subtract
-from bayespace.hermite import (HermiteBasis1D, basis_element, hermite_poly, multivariate_basis,
-                               reconstruct)
+from bayespace.hermite import HermiteBasis1D, hermite_poly, multivariate_basis, reconstruct
 from bayespace.measures import GaussianMeasure
 from bayespace.oracles import coordinates, coordinates_via_derivatives
 from bayespace.quadrature import gh_spec, grid_spec
@@ -31,15 +30,8 @@ class TestBasis1D:
     def test_first_two_elements(self, std_normal_1d):
         basis = HermiteBasis1D(2, std_normal_1d)
         x = np.linspace(-2, 2, 9)[:, None]
-        assert np.allclose(basis_element(1, basis).phi(x), x[:, 0])
-        assert np.allclose(basis_element(2, basis).phi(x), (x[:, 0] ** 2 - 1) / np.sqrt(2))
-
-    def test_element_order_bounds(self, std_normal_1d):
-        basis = HermiteBasis1D(3, std_normal_1d)
-        with pytest.raises(ValueError):
-            basis_element(0, basis)
-        with pytest.raises(ValueError):
-            basis_element(4, basis)
+        assert np.allclose(basis.elements[0].phi(x), x[:, 0])
+        assert np.allclose(basis.elements[1].phi(x), (x[:, 0] ** 2 - 1) / np.sqrt(2))
 
     def test_orthonormality_order_six(self, std_normal_1d):
         basis = HermiteBasis1D(6, std_normal_1d)

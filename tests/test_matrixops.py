@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bayespace.matrixops import build_duplication, unvech, vec, vech
+from bayespace.matrixops import build_duplication, unvech, vec, vech, vech_weights
 
 
 def random_symmetric(rng, n):
@@ -62,10 +62,11 @@ class TestDuplication:
                 assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
 
     def test_sqrt_half_dtd(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             ops = build_duplication(n)
-            target = 0.5 * ops.d.T @ ops.d
-            assert np.abs(ops.sqrt_half_dtd @ ops.sqrt_half_dtd - target).max() < 1e-12
+            half_dtd = 0.5 * ops.d.T @ ops.d
+            assert np.array_equal(half_dtd, np.diag(np.diag(half_dtd)))
+            assert np.abs(np.diag(half_dtd) - vech_weights(n) ** 2).max() <= 1e-15
 
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):

@@ -141,8 +141,8 @@ class TestExpect:
         nu = stereo.prior_measure
         f = lambda x: hermite_poly(2, (x[:, 0] - 20.0) / 3.0) * stereo.posterior.phi(x)
         xs = np.linspace(2.0, 38.0, 100000)
-        num = np.trapezoid(f(xs[:, None]) * nu.density(xs[:, None]), xs)
-        den = np.trapezoid(nu.density(xs[:, None]), xs)
+        num = np.trapezoid(f(xs[:, None]) * np.exp(nu.log_density(xs[:, None])), xs)
+        den = np.trapezoid(np.exp(nu.log_density(xs[:, None])), xs)
         oracle = num / den
         grid_val = expect(f, nu, grid_spec(4001, [(2.0, 38.0)]))
         assert grid_val == pytest.approx(oracle, rel=1e-5)

@@ -400,6 +400,16 @@ class TestDrive:
         assert trace.kl == series
         assert trace.non_monotone_kl is flagged
 
+    def test_a_step_norm_equal_to_tol_does_not_converge(self, stereo):
+        opts = IterateOptions(tol=0.0, max_iters=4, kl_grid=reporting_grid(stereo.prior_measure))
+        run = lambda tol: iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
+                                  dataclasses.replace(opts, tol=tol))
+        norms = run(0.0).step_norm
+        assert norms[2] < norms[1]
+        trace = run(norms[1])
+        assert trace.step_norm == norms[:3]
+        assert trace.converged
+
 
 class TestIterate:
     def test_target_in_subspace_converges_first_step(self):
@@ -443,6 +453,22 @@ class TestIterate:
                                        kl_grid=reporting_grid(stereo.prior_measure)))
         assert trace.iterations == steps
         assert builds == [4] * steps
+
+    def test_default_kl_grid_is_the_initial_measures_reporting_grid(self, stereo):
+        trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
+                        IterateOptions(tol=0.0, max_iters=2))
+        grid = reporting_grid(stereo.prior_measure)
+        assert trace.kl == [kl(q, stereo.posterior, grid) for q in trace.estimates]
+
+    @pytest.mark.parametrize("given_log_zp", [False, True])
+    def test_kl_evaluates_the_target_once(self, stereo, given_log_zp):
+        p, calls = stereo.posterior, []
+        counted = BayesElement(1, lambda x: calls.append(len(x)) or p.phi(x))
+        grid = reporting_grid(stereo.prior_measure)
+        log_zp = log_partition(p, grid) if given_log_zp else None
+        q = gaussian_element([21.0], [[4.0]])
+        assert kl(q, counted, grid, log_zp) == kl(q, p, grid)
+        assert calls == [grid.nodes_per_dim]
 
     def test_kl_evaluates_the_estimate_once(self, stereo):
         q = gaussian_element([21.0], [[4.0]])

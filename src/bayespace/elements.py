@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EvaluationFailure, NotNormalizable
 from .measures import GaussianMeasure
-from .quadrature import (GRID, QuadratureSpec, bounded_grid, grid_faces, measure_nodes,
-                         trapezoid_points)
+from .quadrature import GRID, QuadratureSpec, grid_faces, measure_nodes, trapezoid_points
 
 _FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)      # first derivatives
 _FD_STEP2 = np.finfo(float).eps ** 0.25            # direct second differences
@@ -194,19 +193,14 @@ def stochastic_derivative(family: Callable[[float], BayesElement],
 # Normalization and inner products
 # ---------------------------------------------------------------------------
 
-def _grid_density(p: BayesElement, spec: QuadratureSpec,
-                  measure: Optional[GaussianMeasure] = None):
+def _grid_density(p: BayesElement, spec: QuadratureSpec):
     """p normalized on a trapezoid grid: (points, phi, weights, log Z).
 
     ``weights`` are the probability weights exp(-phi) dx / Z of the grid
     nodes.  Raises :class:`EvaluationFailure` when phi is NaN and
     :class:`NotNormalizable` when the density does not decay at the grid's
-    faces or its integral is not finite.  A grid without bounds takes the
-    default bounds of ``measure``.
+    faces or its integral is not finite.
     """
-    if spec.grid_bounds is None and measure is None:
-        raise ValueError("grid quadrature needs explicit bounds or a measure hint")
-    spec = bounded_grid(spec, measure)
     points, dx = trapezoid_points(spec, p.dim)
     with np.errstate(divide="ignore"):  # a pole's +inf phi is zero density below
         phi = np.asarray(p.phi(points), dtype=float)
@@ -234,7 +228,7 @@ def log_partition(p: BayesElement, spec: QuadratureSpec,
     configured domain, which signals the element has no valid PDF there.
     """
     if spec.kind == GRID:
-        return _grid_density(p, spec, measure)[3]
+        return _grid_density(p, spec)[3]
     if measure is None:
         raise ValueError("Gauss-Hermite normalization needs a reference measure")
     points, w = measure_nodes(measure, spec)
@@ -270,9 +264,9 @@ MeasureLike = Union[GaussianMeasure, BayesElement]
 def moment_nodes(nu: MeasureLike, spec: QuadratureSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Probability-weighted nodes for E_nu[.]; nu may be a normalized element.
 
-    Element measures are realized on a trapezoid grid (explicit bounds
-    required) with weights proportional to exp(-phi_nu); an element that
-    does not decay at the grid's edge raises :class:`NotNormalizable`.
+    Element measures are realized on a trapezoid grid with weights
+    proportional to exp(-phi_nu); an element that does not decay at the
+    grid's edge raises :class:`NotNormalizable`.
     """
     if isinstance(nu, GaussianMeasure):
         return measure_nodes(nu, spec)

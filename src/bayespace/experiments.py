@@ -2,16 +2,14 @@
 
 Each ``run_*`` function consumes an :class:`ExperimentConfig`, writes
 plot-ready CSV series plus one JSON summary into the output directory, and
-returns a result dictionary for programmatic use.  Outputs are
-byte-identical for identical configs and seeds; wall-clock timings are
-returned but never written.
+returns the summary.  Outputs are byte-identical for identical configs and
+seeds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,12 +24,10 @@ from .graphio import dumps_graph, write_new_text
 from .gvi import FactorGraph, GaussianState, GviOptions, gvi_sparse_solve, stereo_factor
 from .hermite import HermiteBasis1D, reconstruct
 from .measures import GaussianMeasure
-from .quadrature import (QuadratureSpec, default_grid_bounds, gh_spec, grid_spec,
-                         trapezoid_points)
+from .quadrature import QuadratureSpec, gh_spec, grid_spec, trapezoid_points
 from .variational import (GaussianSubspace, HermiteSubspace, IterateOptions,
-                          IterationTrace, iterate, kl, project)
+                          IterationTrace, iterate, kl, project, reporting_grid)
 
-DENSITY_GRID_POINTS = 2001
 SWEEP_GRID_POINTS = 4001
 
 
@@ -152,7 +148,7 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype == np.float64
              else map(_fmt, c) for c in columns]
     lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
-    write_new_text(path, "\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _padded(values: Sequence, n: int) -> List:
@@ -161,7 +157,15 @@ def _padded(values: Sequence, n: int) -> List:
 
 
 def _write_summary(path: Path, payload: Dict) -> None:
-    write_new_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write(path: Path, text: str) -> None:
+    """Every output file is written here; one that cannot be is a configuration error."""
+    try:
+        write_new_text(path, text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -196,12 +200,12 @@ class StereoProblem:
         """Trapezoid rule truncated 6 sigma around the prior, clear of the pole."""
         mu, sig = self.config.mu_p, np.sqrt(self.config.s2_p)
         lo = max(mu - 6.0 * sig, 1e-3)
-        return _config_grid(SWEEP_GRID_POINTS, [(lo, mu + 6.0 * sig)])
+        return _stereo_grid(grid_spec, SWEEP_GRID_POINTS, [(lo, mu + 6.0 * sig)])
 
 
-def _config_grid(points: int, bounds) -> QuadratureSpec:
+def _stereo_grid(build, *args) -> QuadratureSpec:
     try:
-        return grid_spec(points, bounds)
+        return build(*args)
     except ValueError as err:  # a prior too narrow or too far out collapses the grid
         raise ConfigError(f"stereo grid: {err}") from None
 
@@ -229,7 +233,7 @@ def make_stereo(cfg: ExperimentConfig) -> StereoProblem:
     return StereoProblem(
         config=cfg, z=z, x_true=x_true, prior=prior, measurement=measurement,
         posterior=add(prior, measurement), prior_measure=prior_measure,
-        density_grid=_config_grid(DENSITY_GRID_POINTS, default_grid_bounds(prior_measure)))
+        density_grid=_stereo_grid(reporting_grid, prior_measure))
 
 
 def _density_column(elem: BayesElement, spec: QuadratureSpec) -> np.ndarray:
@@ -287,8 +291,7 @@ def _run_stereo_iteration(problem: StereoProblem, subspace, cfg: ExperimentConfi
     opts = IterateOptions(
         tol=0.0 if cfg.tol is None else cfg.tol,
         max_iters=cfg.max_iters,
-        quad=gh_spec(cfg.nodes or 20),
-        kl_grid=problem.density_grid)
+        quad=gh_spec(cfg.nodes or 20))
     return iterate(problem.posterior, subspace, problem.prior_measure, opts)
 
 
@@ -461,8 +464,6 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
     consistency statistics; files always describe trial 0.
     """
     out = _out_dir(cfg)
-    started = time.perf_counter()
-
     n = cfg.n_poses + cfg.n_landmarks
     inside = {"esgvi": 0, "map_gn": 0}
     total = 0
@@ -483,11 +484,10 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
         total += n
         if trial == 0:
             first = (graph, truth, tr_vi, tr_map, columns)
-    runtime = time.perf_counter() - started
 
     graph, truth, tr_vi, tr_map, columns = first
     _create(out)
-    write_new_text(out / "graph.txt", dumps_graph(graph))
+    _write(out / "graph.txt", dumps_graph(graph))
     kinds = ["pose"] * cfg.n_poses + ["landmark"] * cfg.n_landmarks
     _write_csv(out / "errors.csv",
                ["variable", "kind", "truth",
@@ -515,5 +515,4 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
         "containment_map_gn": inside["map_gn"] / total,
     }
     _write_summary(out / "summary.json", summary)
-    summary["runtime_seconds"] = runtime  # returned, never written
     return summary

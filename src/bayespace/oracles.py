@@ -236,7 +236,7 @@ def iterate_newton(p: BayesElement, subspace: SubspaceSpec, init_measure: Gaussi
         raise ValueError("full-Newton mode is implemented for one-dimensional states")
 
     def newton(measure, current, basis, g, residual):
-        grid = opts.kl_grid or grid_spec(1001, default_grid_bounds(measure))
+        grid = grid_spec(1001, default_grid_bounds(measure))
         alpha_self = _solve_gram(g, basis_projections(basis, current, measure, opts.quad))
         h = kl_hessian(alpha_self, basis, p, grid)
         alpha = alpha_self + _solve_gram(h, residual)

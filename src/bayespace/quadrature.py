@@ -31,8 +31,8 @@ _GRID_SPAN_SIGMAS = 8.0
 class QuadratureSpec:
     """How to realize an expectation numerically.
 
-    ``grid_bounds`` is a per-dimension sequence of (lo, hi) intervals; when
-    omitted for a grid rule, bounds default to measure mean +/- 8 sigma.
+    ``grid_bounds`` is a per-dimension sequence of (lo, hi) intervals, which a
+    grid rule requires; ``default_grid_bounds(nu)`` gives mean +/- 8 sigma.
     """
 
     kind: str = GAUSS_HERMITE
@@ -46,6 +46,8 @@ class QuadratureSpec:
             raise ValueError("nodes_per_dim must be positive")
         if self.kind == GAUSS_HERMITE and self.nodes_per_dim > _MAX_GH_ORDER:
             raise ValueError(f"Gauss-Hermite order capped at {_MAX_GH_ORDER}")
+        if self.kind == GRID and self.grid_bounds is None:
+            raise ValueError("a grid rule requires its bounds")
         if self.grid_bounds is not None:
             bounds = tuple((float(lo), float(hi)) for lo, hi in self.grid_bounds)
             for lo, hi in bounds:
@@ -58,9 +60,8 @@ def gh_spec(nodes: int = 20) -> QuadratureSpec:
     return QuadratureSpec(kind=GAUSS_HERMITE, nodes_per_dim=nodes)
 
 
-def grid_spec(nodes: int, bounds: Optional[Sequence[Tuple[float, float]]] = None) -> QuadratureSpec:
-    b = None if bounds is None else tuple(tuple(x) for x in bounds)
-    return QuadratureSpec(kind=GRID, nodes_per_dim=nodes, grid_bounds=b)
+def grid_spec(nodes: int, bounds: Sequence[Tuple[float, float]]) -> QuadratureSpec:
+    return QuadratureSpec(kind=GRID, nodes_per_dim=nodes, grid_bounds=bounds)
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,18 +123,9 @@ def default_grid_bounds(nu: GaussianMeasure) -> Tuple[Tuple[float, float], ...]:
                  for m, s in zip(nu.mean, nu.stddevs()))
 
 
-def bounded_grid(spec: QuadratureSpec, nu: GaussianMeasure) -> QuadratureSpec:
-    """``spec`` itself when it has bounds, else the same grid over nu's default bounds."""
-    if spec.grid_bounds is not None:
-        return spec
-    return grid_spec(spec.nodes_per_dim, default_grid_bounds(nu))
-
-
 @functools.lru_cache(maxsize=16)
 def trapezoid_points(spec: QuadratureSpec, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Tensor trapezoid abscissae and dx-weights for explicit grid bounds (read-only)."""
-    if spec.grid_bounds is None:
-        raise ValueError("trapezoid grid requires explicit bounds")
+    """Tensor trapezoid abscissae and dx-weights over the grid's bounds (read-only)."""
     if len(spec.grid_bounds) != dim:
         raise ValueError(f"{len(spec.grid_bounds)} grid bounds for dimension {dim}")
     _check_budget(spec.nodes_per_dim, dim)
@@ -159,7 +151,7 @@ def measure_nodes(nu: GaussianMeasure, spec: QuadratureSpec) -> Tuple[np.ndarray
     if spec.kind == GAUSS_HERMITE:
         xi, w = tensor_rule(spec.nodes_per_dim, nu.dim)
         return nu.mean + xi @ nu.cholesky.T, w
-    points, dx = trapezoid_points(bounded_grid(spec, nu), nu.dim)
+    points, dx = trapezoid_points(spec, nu.dim)
     with np.errstate(all="ignore"):  # a density that underflows everywhere raises below
         w = dx * np.exp(nu.log_density(points))
     total = w.sum()

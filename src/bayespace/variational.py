@@ -83,8 +83,8 @@ def project(p: BayesElement, basis, nu: MeasureLike, spec: QuadratureSpec) -> Co
 # ---------------------------------------------------------------------------
 
 def reporting_grid(measure: GaussianMeasure) -> QuadratureSpec:
-    """Grid over the measure's default bounds (mean +/- 8 sigma), used for
-    absolute KL values."""
+    """Grid of 2001 nodes over the measure's default bounds (mean +/- 8 sigma),
+    on which :func:`iterate` reads absolute KL values."""
     return grid_spec(2001, default_grid_bounds(measure))
 
 
@@ -95,8 +95,8 @@ def kl(q: BayesElement, p: BayesElement, spec: QuadratureSpec,
     ``log_zp`` is p's log-partition on the grid, computed when not given.
     Raises :class:`EvaluationFailure` when the divergence is not finite.
     """
-    if spec.kind != GRID or spec.grid_bounds is None:
-        raise ValueError("KL evaluation requires a grid quadrature with bounds")
+    if spec.kind != GRID:
+        raise ValueError("KL evaluation requires a grid quadrature")
     points, phi_q, w, log_zq = _grid_density(q, spec)
     if log_zp is None:  # one read of p's phi gives its log-partition and the integrand
         _, phi_p, _, log_zp = _grid_density(p, spec)
@@ -162,7 +162,6 @@ class IterateOptions:
     tol: float = 1e-8
     max_iters: int = 50
     quad: QuadratureSpec = field(default_factory=gh_spec)
-    kl_grid: Optional[QuadratureSpec] = None
 
 
 @dataclass
@@ -228,8 +227,9 @@ def iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeasu
     estimate's Gaussian part to the next measure.  Stops when the coordinate
     step falls below tolerance.  Raises :class:`MeasureInvalid` when that
     Gaussian part stops being positive-definite and :class:`NotNormalizable`
-    when the estimate or the target has no density on the KL grid, each with
-    the partial trace as ``err.trace``.
+    when the target or the estimate has no density on the KL grid,
+    ``reporting_grid(init_measure)``, each with the partial trace as
+    ``err.trace``.
     """
     opts = opts or IterateOptions()
 
@@ -244,7 +244,7 @@ def _iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeas
     """:func:`iterate` with ``update(measure, current, basis, gram, residual)
     -> (alpha, delta)`` giving each step's coordinates and their change."""
     quad = opts.quad
-    kl_grid = opts.kl_grid or reporting_grid(init_measure)
+    kl_grid = reporting_grid(init_measure)
 
     def step(state):
         # log_zp is the target's log-partition on kl_grid, computed once
@@ -259,12 +259,14 @@ def _iterate(p: BayesElement, subspace: SubspaceSpec, init_measure: GaussianMeas
             raise MeasureInvalid(f"estimate reconstruction failed: {exc}") from exc
         if not ig.spd:
             raise MeasureInvalid("estimate's Gaussian part is not positive-definite")
+        density = "target"
         try:
             if log_zp is None:
                 log_zp = log_partition(p, kl_grid)
+            density = "estimate"
             kl_value = kl(estimate, p, kl_grid, log_zp)
         except NotNormalizable as exc:
-            raise NotNormalizable(f"estimate not normalizable: {exc}") from None
+            raise NotNormalizable(f"{density} not normalizable: {exc}") from None
         with np.errstate(all="ignore"):  # a norm that overflows raises below
             step_norm = float(np.linalg.norm(delta))
         if not np.isfinite(step_norm):

@@ -268,8 +268,7 @@ def test_criterion_08_fim_equals_gram(std_normal_1d):
 
 def test_criterion_09_stereo_plateau(stereo):
     trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
-                    IterateOptions(tol=0.0, max_iters=10, quad=gh_spec(20),
-                                   kl_grid=reporting_grid(stereo.prior_measure)))
+                    IterateOptions(tol=0.0, max_iters=10, quad=gh_spec(20)))
     series = np.array(trace.kl)
     rel = abs(series[5] - series[-1]) / series[-1]
     report(9, rel <= 0.01 and np.isfinite(series).all(),
@@ -288,8 +287,7 @@ def test_criterion_10_basis_count_convergence(stereo):
     decreasing = bool(np.all(np.diff(divergences) < 0))
     ratio = divergences[-1] / divergences[0]
 
-    opts = IterateOptions(tol=0.0, max_iters=10, quad=gh_spec(20),
-                          kl_grid=reporting_grid(stereo.prior_measure))
+    opts = IterateOptions(tol=0.0, max_iters=10, quad=gh_spec(20))
     kl2 = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure, opts).kl[-1]
     kl4 = iterate(stereo.posterior, HermiteSubspace(4), stereo.prior_measure, opts).kl[-1]
     report(10, decreasing and ratio < 0.1 and kl4 < kl2,
@@ -298,8 +296,7 @@ def test_criterion_10_basis_count_convergence(stereo):
 
 def test_criterion_11_gvi_route_equivalence(stereo):
     cfg = stereo.config
-    opts_it = IterateOptions(tol=0.0, max_iters=6, quad=gh_spec(20),
-                             kl_grid=reporting_grid(stereo.prior_measure))
+    opts_it = IterateOptions(tol=0.0, max_iters=6, quad=gh_spec(20))
     trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure, opts_it)
     state = GaussianState(np.array([cfg.mu_p]), np.array([[1.0 / cfg.s2_p]]))
     worst_1d = 0.0
@@ -370,14 +367,16 @@ def test_criterion_12_projection_of_sums():
 
 def test_criterion_13_slam_chain_monte_carlo(tmp_path):
     cfg = ExperimentConfig(out_dir=str(tmp_path), seed=42, trials=500)
+    started = time.perf_counter()
     summary = run_gvi_demo(cfg)
+    runtime = time.perf_counter() - started
     containment = summary["containment_esgvi"]
     ok = (0.985 <= containment <= 0.999
           and summary["max_iterations"] <= 10
           and summary["all_converged"]
-          and summary["runtime_seconds"] < 60.0)
+          and runtime < 60.0)
     report(13, ok, f"containment {containment:.4f}, max iterations "
-                   f"{summary['max_iterations']}, runtime {summary['runtime_seconds']:.1f}s")
+                   f"{summary['max_iterations']}, runtime {runtime:.1f}s")
 
 
 def test_criterion_14_quadratic_exactness():

@@ -14,7 +14,7 @@ from bayespace.elements import (BayesElement, add, constant_element, divergence,
 from bayespace.errors import DimensionMismatch, EvaluationFailure, NotNormalizable
 from bayespace.hermite import HermiteBasis1D
 from bayespace.measures import GaussianMeasure
-from bayespace.quadrature import gh_spec, grid_spec
+from bayespace.quadrature import default_grid_bounds, gh_spec, grid_spec
 
 SPEC = gh_spec(20)
 GRID8 = grid_spec(2001, [(-8.0, 8.0)])
@@ -190,9 +190,9 @@ class TestNormalize:
     def test_narrow_density_far_from_the_origin_normalizes(self, mean, var, bounds):
         # Only a grid's first and last node on each axis are its faces, however
         # fine the spacing is next to the size of the bound.
-        spec = grid_spec(4001 if bounds else 2001, bounds)
-        log_z = log_partition(gaussian_element([mean], [[var]]), spec,
-                              GaussianMeasure([mean], [[var]]))
+        nu = GaussianMeasure([mean], [[var]])
+        spec = grid_spec(4001 if bounds else 2001, bounds or default_grid_bounds(nu))
+        log_z = log_partition(gaussian_element([mean], [[var]]), spec, nu)
         assert abs(log_z - 0.5 * np.log(2 * np.pi * var)) < 1e-7
 
     @pytest.mark.parametrize("mean, cov, bounds", [

@@ -463,6 +463,23 @@ class TestCLI:
         assert code == 2
         assert "output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, blocked", [
+        ("stereo-project", "densities.csv"), ("stereo-project", "summary.json"),
+        ("stereo-iterate", "series.csv"), ("hermite-sweep", "divergence.csv"),
+        ("gvi-demo", "graph.txt"), ("gvi-demo", "summary.json")])
+    def test_output_file_that_cannot_be_written_exit_code(self, tmp_path, capsys, command,
+                                                          blocked):
+        # a directory where the run writes one of its files
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--out", str(out), "--max-iters", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        _assert_only_bh_stderr(code, err, caught)
+        assert err.startswith(f"bh: configuration error: cannot write {out / blocked}: ")
+
     # Values that break a variance, a factor or a grid: validate() rejects the
     # chain scales whose square is not positive and finite, the model the rest.
     @pytest.mark.parametrize("command, line, expected", [
@@ -640,13 +657,17 @@ _ARGV_TOKENS = ["--seed", "-1", "--nodes", "abc", "--tol", "nan", "--basis", "7"
        values=st.dictionaries(st.sampled_from(_FLOAT_KEYS),
                               st.sampled_from(_EXTREME_FLOATS) | st.floats(-100.0, 100.0),
                               min_size=1, max_size=2),
-       extra=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=3))
+       extra=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=3),
+       blocked=st.booleans())
 def test_cli_exits_only_with_documented_codes(tmp_path, capsys, monkeypatch, command,
-                                              values, extra):
-    """Whatever a config file or argv holds, bh exits 0, 2 or 3, never with a
-    traceback; a run that exits 0 writes only finite numbers."""
+                                              values, extra, blocked):
+    """Whatever a config file or argv holds, and whether or not the output
+    directory holds a directory named summary.json, bh exits 0, 2 or 3,
+    never with a traceback; a run that exits 0 writes only finite numbers."""
     work = Path(tempfile.mkdtemp(dir=tmp_path))  # examples share tmp_path
     monkeypatch.chdir(work)  # a relative --out from the argv tokens lands here
+    if blocked:
+        (work / "out" / "summary.json").mkdir(parents=True)
     cfg_file = work / "fuzz.cfg"
     cfg_file.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
     argv = [command, "--out", str(work / "out"), "--max-iters", "5",

@@ -406,8 +406,7 @@ class TestDenseStep:
         assert np.abs(new.info - info_true).max() < 1e-12
 
     def test_stereo_matches_subspace_iteration(self, stereo):
-        opts = IterateOptions(tol=0.0, max_iters=6, quad=gh_spec(20),
-                              kl_grid=reporting_grid(stereo.prior_measure))
+        opts = IterateOptions(tol=0.0, max_iters=6, quad=gh_spec(20))
         trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure, opts)
         state = GaussianState(stereo.prior_measure.mean, np.array([[1.0 / 9.0]]))
         for ig in trace.gaussians:

@@ -7,8 +7,9 @@ from bayespace.errors import EvaluationFailure, NotNormalizable
 from bayespace.hermite import hermite_poly
 from bayespace.measures import GaussianMeasure
 from bayespace.oracles import stein_check
-from bayespace.quadrature import (expect, gauss_hermite_rule, gh_spec, grid_faces, grid_spec,
-                                  measure_nodes, tensor_rule, trapezoid_points)
+from bayespace.quadrature import (default_grid_bounds, expect, gauss_hermite_rule, gh_spec,
+                                  grid_faces, grid_spec, measure_nodes, tensor_rule,
+                                  trapezoid_points)
 
 
 def std_normal_moment(k: int) -> float:
@@ -101,9 +102,9 @@ class TestExpect:
         assert via_rotated == pytest.approx(via_cholesky, abs=1e-9)
 
     def test_grid_rule_default_bounds(self):
-        # without explicit bounds the grid covers mean +/- 8 sigma
+        # default_grid_bounds(nu) is mean +/- 8 sigma
         nu = GaussianMeasure([2.0], [[1.5]])
-        got = expect(lambda x: (x[:, 0] - 2.0) ** 2, nu, grid_spec(4001))
+        got = expect(lambda x: (x[:, 0] - 2.0) ** 2, nu, grid_spec(4001, default_grid_bounds(nu)))
         assert got == pytest.approx(1.5, rel=1e-9)
 
     def test_grid_rule_reuses_the_trapezoid_points(self):
@@ -170,8 +171,8 @@ class TestTrapezoidPoints:
         assert dx.tolist() == [0.5, 1.0, 0.5, 1.0, 2.0, 1.0, 0.5, 1.0, 0.5]
 
     def test_invalid_requests_still_raise(self):
-        with pytest.raises(ValueError):
-            trapezoid_points(grid_spec(11), 1)
+        with pytest.raises(ValueError, match="^a grid rule requires its bounds$"):
+            grid_spec(11, None)
         with pytest.raises(ValueError):
             trapezoid_points(grid_spec(11, [(0.0, 1.0)]), 2)
 

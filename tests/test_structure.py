@@ -36,8 +36,7 @@ DOCUMENTED = {
                      "hermite.HermiteBasis1D.__len__", "hermite.HermiteBasisND.__post_init__",
                      "hermite.HermiteBasisND.phi_matrix", "hermite.HermiteBasisND.__len__"],
                     "Hermite bases"),
-    **dict.fromkeys(["variational.BasisSet.phi_matrix", "variational.reporting_grid"],
-                    "Variational machinery"),
+    "variational.BasisSet.phi_matrix": "Variational machinery",
     **dict.fromkeys(["gvi.FactorGraph.__init__", "gvi.FactorGraph.factors", "gvi._group",
                      "gvi.factor_expectations", "gvi.prior_factor", "gvi.odom_factor",
                      "gvi.range_factor", "errors.NonSPD.__init__"],

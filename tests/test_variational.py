@@ -401,7 +401,7 @@ class TestDrive:
         assert trace.non_monotone_kl is flagged
 
     def test_a_step_norm_equal_to_tol_does_not_converge(self, stereo):
-        opts = IterateOptions(tol=0.0, max_iters=4, kl_grid=reporting_grid(stereo.prior_measure))
+        opts = IterateOptions(tol=0.0, max_iters=4)
         run = lambda tol: iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
                                   dataclasses.replace(opts, tol=tol))
         norms = run(0.0).step_norm
@@ -416,7 +416,7 @@ class TestIterate:
         target = gaussian_element([1.5], [[0.8]])
         init = GaussianMeasure([0.0], [[2.0]])
         trace = iterate(target, GaussianSubspace(), init,
-                        IterateOptions(kl_grid=grid_spec(2001, [(-12.0, 12.0)])))
+                        IterateOptions())
         assert trace.converged
         assert equivalent(trace.estimates[0], target, rtol=1e-8)
         assert trace.kl[0] == pytest.approx(0.0, abs=1e-10)
@@ -432,7 +432,7 @@ class TestIterate:
         monkeypatch.setattr(variational, "log_partition", counting)
         grid = reporting_grid(stereo.prior_measure)
         trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
-                        IterateOptions(tol=0.0, max_iters=4, kl_grid=grid))
+                        IterateOptions(tol=0.0, max_iters=4))
         assert trace.iterations == 4
         assert sum(p is stereo.posterior for p in calls) == 1
         # The same bits as the absolute KL computed from scratch.
@@ -449,8 +449,7 @@ class TestIterate:
 
         monkeypatch.setattr(HermiteBasis1D, "__post_init__", counting)
         trace = iterate(stereo.posterior, HermiteSubspace(4), stereo.prior_measure,
-                        IterateOptions(tol=0.0, max_iters=steps,
-                                       kl_grid=reporting_grid(stereo.prior_measure)))
+                        IterateOptions(tol=0.0, max_iters=steps))
         assert trace.iterations == steps
         assert builds == [4] * steps
 
@@ -487,8 +486,7 @@ class TestIterate:
 
     def test_measures_hold_each_estimate_as_a_measure(self, stereo):
         trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
-                        IterateOptions(tol=0.0, max_iters=3,
-                                       kl_grid=reporting_grid(stereo.prior_measure)))
+                        IterateOptions(tol=0.0, max_iters=3))
         assert len(trace.measures) == trace.iterations == 3
         for measure, ig in zip(trace.measures, trace.gaussians):
             assert np.array_equal(measure.mean, ig.mean_like)
@@ -507,8 +505,7 @@ class TestIterate:
             if name.startswith("bayespace") and hasattr(module, "inner_product"):
                 monkeypatch.setattr(module, "inner_product", counting)
         trace = iterate(stereo.posterior, subspace, stereo.prior_measure,
-                        IterateOptions(tol=0.0, max_iters=3,
-                                       kl_grid=reporting_grid(stereo.prior_measure)))
+                        IterateOptions(tol=0.0, max_iters=3))
         assert trace.iterations == 3
         assert len(calls) == 3
 
@@ -520,33 +517,42 @@ class TestIterate:
                               lambda x: (2.0 * (1.0 - x**2) / (1.0 + x**2) ** 2)[:, :, None])
         with pytest.raises(NotNormalizable) as err:
             iterate(target, GaussianSubspace(), GaussianMeasure([0.0], [[1.0]]),
-                    IterateOptions(max_iters=3, kl_grid=grid_spec(2001, [(-8.0, 8.0)])))
-        assert err.value.trace.aborted.startswith("estimate not normalizable")
+                    IterateOptions(max_iters=3))
+        assert err.value.trace.aborted.startswith("target not normalizable: ")
+        assert err.value.trace.iterations == 0
+
+    def test_non_normalizable_estimate_raises_with_trace(self):
+        # phi = (x/4)^8 decays on the +/- 8 reporting grid of N(0, 1); its first
+        # Gaussian projection, of variance near 78, does not.
+        target = BayesElement(1, lambda x: (x[:, 0] / 4.0) ** 8,
+                              lambda x: 2.0 * (x / 4.0) ** 7,
+                              lambda x: (3.5 * (x[:, 0] / 4.0) ** 6)[:, None, None])
+        init = GaussianMeasure([0.0], [[1.0]])
+        assert np.isfinite(log_partition(target, reporting_grid(init)))
+        with pytest.raises(NotNormalizable) as err:
+            iterate(target, GaussianSubspace(), init, IterateOptions(max_iters=3))
+        assert err.value.trace.aborted.startswith("estimate not normalizable: ")
         assert err.value.trace.iterations == 0
 
     def test_stereo_converges_in_about_five_iterations(self, stereo):
         trace = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
-                        IterateOptions(tol=0.0, max_iters=10,
-                                       kl_grid=reporting_grid(stereo.prior_measure)))
+                        IterateOptions(tol=0.0, max_iters=10))
         # the KL series has plateaued by the fifth iterate
         assert abs(trace.kl[4] - trace.kl[-1]) <= 0.01 * trace.kl[-1]
         assert not trace.non_monotone_kl
 
     def test_near_fixed_point_init_converges_immediately(self, stereo):
         full = iterate(stereo.posterior, GaussianSubspace(), stereo.prior_measure,
-                       IterateOptions(tol=1e-10, max_iters=40,
-                                      kl_grid=reporting_grid(stereo.prior_measure)))
+                       IterateOptions(tol=1e-10, max_iters=40))
         start = full.gaussians[-1].to_measure()
         trace = iterate(stereo.posterior, GaussianSubspace(), start,
-                        IterateOptions(tol=1e-6, max_iters=10,
-                                       kl_grid=reporting_grid(stereo.prior_measure)))
+                        IterateOptions(tol=1e-6, max_iters=10))
         assert trace.converged and trace.iterations <= 2
 
     def test_single_iteration_is_plain_projection(self, stereo):
         nu = GaussianMeasure([24.0], [[4.0]])
         trace = iterate(stereo.posterior, GaussianSubspace(), nu,
-                        IterateOptions(tol=0.0, max_iters=1,
-                                       kl_grid=reporting_grid(stereo.prior_measure)))
+                        IterateOptions(tol=0.0, max_iters=1))
         direct = project_to_gaussian(stereo.posterior, nu, gh_spec(20))
         assert np.allclose(trace.gaussians[0].mean_like, direct.mean_like, rtol=1e-12)
         assert np.allclose(trace.gaussians[0].info, direct.info, rtol=1e-12)
@@ -556,11 +562,9 @@ class TestIterate:
         # FIM-approximated step is the default); start it nearer the optimum.
         start = GaussianMeasure([22.0], [[4.0]])
         base = iterate(stereo.posterior, GaussianSubspace(), start,
-                       IterateOptions(tol=1e-9, max_iters=30,
-                                      kl_grid=reporting_grid(stereo.prior_measure)))
+                       IterateOptions(tol=1e-9, max_iters=30))
         newton = iterate_newton(stereo.posterior, GaussianSubspace(), start,
-                                IterateOptions(tol=1e-9, max_iters=30,
-                                               kl_grid=reporting_grid(stereo.prior_measure)))
+                                IterateOptions(tol=1e-9, max_iters=30))
         assert newton.converged
         assert newton.kl[-1] == pytest.approx(base.kl[-1], rel=1e-5)
 
@@ -568,7 +572,7 @@ class TestIterate:
         # step k moves from estimate k-1 to estimate k, both measured under estimate k-1
         nu = stereo.prior_measure
         for subspace in (GaussianSubspace(), HermiteSubspace(4)):
-            opts = IterateOptions(tol=0.0, max_iters=8, kl_grid=reporting_grid(nu))
+            opts = IterateOptions(tol=0.0, max_iters=8)
             trace = iterate(stereo.posterior, subspace, nu, opts)
             currents = [gaussian_element(nu.mean, nu.covariance), *trace.estimates[:-1]]
             for current, measure, after in zip(currents, [nu, *trace.measures[:-1]],
@@ -615,8 +619,7 @@ class TestIterate:
                 grad=lambda x, e=eps: (x[:, 0] + 4 * e * x[:, 0] ** 3)[:, None],
                 hess=lambda x, e=eps: (1.0 + 12 * e * x[:, 0] ** 2)[:, None, None])
             trace = iterate(p, GaussianSubspace(), init,
-                            IterateOptions(tol=1e-10, max_iters=40,
-                                           kl_grid=grid_spec(2001, [(-9.0, 9.0)])))
+                            IterateOptions(tol=1e-10, max_iters=40))
             final_measure = trace.gaussians[-1].to_measure()
             basis = HermiteBasis1D(2, final_measure)
             grid = reporting_grid(final_measure)
@@ -635,7 +638,7 @@ class TestIterate:
             hess=lambda x: np.full((x.shape[0], 1, 1), -1.0))
         with pytest.raises(MeasureInvalid) as err:
             iterate(concave, GaussianSubspace(), GaussianMeasure([0.0], [[1.0]]),
-                    IterateOptions(kl_grid=grid_spec(1001, [(-8.0, 8.0)])))
+                    IterateOptions())
         trace = err.value.trace
         assert trace.aborted is not None
         assert trace.iterations == len(trace.kl) == len(trace.coordinates)

@@ -1,7 +1,8 @@
 """Desk-scale experiment harness.
 
-Each ``run_*`` function consumes an :class:`ExperimentConfig`, writes
-plot-ready CSV series plus one JSON summary into the output directory, and
+Each ``run_*`` function consumes an :class:`ExperimentConfig`, computes
+its plot-ready CSV series and summary fields, and hands them to ``_publish``,
+which writes them with one JSON summary into the output directory and
 returns the summary.  Outputs are byte-identical for identical configs and
 seeds.
 """
@@ -63,6 +64,7 @@ class ExperimentConfig:
 
     def validate(self):
         checks = [
+            (self.out_dir != "", "out_dir must not be empty"),
             (0 <= self.seed < 2**64, "seed must fit in a u64"),
             (self.nodes is None or 1 <= self.nodes <= 64, "nodes must be in 1..64"),
             (1 <= self.max_iters <= 1000, "max_iters must be in 1..1000"),
@@ -168,17 +170,22 @@ def _write(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    """Validate the config; the run creates the returned directory with `_create`."""
-    cfg.validate()
-    return Path(cfg.out_dir)
-
-
-def _create(out: Path) -> None:
+def _publish(cfg: ExperimentConfig, experiment: str, fields: Dict, files: Dict) -> Dict:
+    """Make the output directory, write ``files`` (name: text or (header, columns)) in
+    order, then ``summary.json`` (experiment, config, then ``fields``); return the summary."""
+    out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot create the output directory: {err}") from None
+    for name, content in files.items():
+        if isinstance(content, str):
+            _write(out / name, content)
+        else:
+            _write_csv(out / name, *content)
+    summary = {"experiment": experiment, "config": dataclasses.asdict(cfg), **fields}
+    _write_summary(out / "summary.json", summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -241,32 +248,22 @@ def _density_column(elem: BayesElement, spec: QuadratureSpec) -> np.ndarray:
     return np.exp(-phi - log_z)
 
 
-def _write_stereo(out: Path, problem: StereoProblem, experiment: str,
-                  columns: Dict[str, np.ndarray], fields: Dict) -> Dict:
-    """Write a stereo run's ``densities.csv`` (x, then ``columns``) and its
-    ``summary.json`` (experiment, config, z, then ``fields``); return the summary."""
+def _densities(problem: StereoProblem, columns: Dict[str, np.ndarray]) -> Tuple:
+    """A stereo run's ``densities.csv`` table: x on the density grid, then ``columns``."""
     x = trapezoid_points(problem.density_grid, 1)[0][:, 0]
-    _write_csv(out / "densities.csv", ["x", *columns], [x, *columns.values()])
-    summary = {"experiment": experiment, "config": dataclasses.asdict(problem.config),
-               "z": problem.z, **fields}
-    _write_summary(out / "summary.json", summary)
-    return summary
+    return ["x", *columns], [x, *columns.values()]
 
 
 def run_stereo_project(cfg: ExperimentConfig) -> Dict:
     """Project the posterior onto the Gaussian subspace under two measures."""
-    out = _out_dir(cfg)
+    cfg.validate()
     problem = make_stereo(cfg)
     quad = gh_spec(cfg.nodes or 20)
     grid = problem.density_grid
-    measures = {
-        "prior_measure": problem.prior_measure,
-        "informed_measure": GaussianMeasure([cfg.informed_mean], [[cfg.informed_var]]),
-    }
-    columns = {
-        "prior": _density_column(problem.prior, grid),
-        "posterior": _density_column(problem.posterior, grid),
-    }
+    measures = {"prior_measure": problem.prior_measure,
+                "informed_measure": GaussianMeasure([cfg.informed_mean], [[cfg.informed_var]])}
+    columns = {"prior": _density_column(problem.prior, grid),
+               "posterior": _density_column(problem.posterior, grid)}
     scalars: Dict[str, float] = {} if problem.x_true is None else {"x_true": problem.x_true}
     not_normalizable: List[str] = []
     for name, nu in measures.items():
@@ -281,9 +278,9 @@ def run_stereo_project(cfg: ExperimentConfig) -> Dict:
             subtract(problem.posterior, q), nu, problem.sweep_grid())
         scalars[f"mean_{name}"] = float(proj.mean_like[0])
         scalars[f"variance_{name}"] = float(1.0 / proj.info[0, 0])
-    _create(out)
-    return _write_stereo(out, problem, "stereo-project", columns,
-                         {**scalars, "not_normalizable_measures": not_normalizable})
+    return _publish(cfg, "stereo-project",
+                    {"z": problem.z, **scalars, "not_normalizable_measures": not_normalizable},
+                    {"densities.csv": _densities(problem, columns)})
 
 
 def _run_stereo_iteration(problem: StereoProblem, subspace, cfg: ExperimentConfig,
@@ -297,27 +294,27 @@ def _run_stereo_iteration(problem: StereoProblem, subspace, cfg: ExperimentConfi
 
 def run_stereo_iterate(cfg: ExperimentConfig) -> Dict:
     """Iterative projection onto the Gaussian subspace, starting at the prior."""
-    out = _out_dir(cfg)
+    cfg.validate()
     problem = make_stereo(cfg)
     trace = _run_stereo_iteration(problem, GaussianSubspace(), cfg)
 
     grid = problem.density_grid
     columns = {"posterior": _density_column(problem.posterior, grid)}
-    columns["iter_0"] = _density_column(problem.prior, grid)
-    for i, est in enumerate(trace.estimates, start=1):
+    for i, est in enumerate([problem.prior, *trace.estimates]):
         columns[f"iter_{i}"] = _density_column(est, grid)
-    _create(out)
-    _write_csv(out / "series.csv",
-               ["iteration", "kl", "divergence", "step_norm"],
-               [range(1, trace.iterations + 1), trace.kl, trace.divergence,
-                trace.step_norm])
-    return _write_stereo(out, problem, "stereo-iterate", columns, {
+    return _publish(cfg, "stereo-iterate", {
+        "z": problem.z,
         "iterations": trace.iterations,
         "converged": trace.converged,
         "non_monotone_kl": trace.non_monotone_kl,
         "kl_series": [float(v) for v in trace.kl],
         "final_mean": float(trace.gaussians[-1].mean_like[0]),
         "final_variance": float(trace.covariances[-1][0, 0]),
+    }, {
+        "series.csv": (["iteration", "kl", "divergence", "step_norm"],
+                       [range(1, trace.iterations + 1), trace.kl, trace.divergence,
+                        trace.step_norm]),
+        "densities.csv": _densities(problem, columns),
     })
 
 
@@ -329,7 +326,7 @@ def run_hermite_sweep(cfg: ExperimentConfig) -> Dict:
     PDFs (odd cutoffs typically diverge in a tail and are reported as
     non-normalizable instead).
     """
-    out = _out_dir(cfg)
+    cfg.validate()
     problem = make_stereo(cfg)
     sweep_quad = problem.sweep_grid()
     grid = problem.density_grid
@@ -349,14 +346,15 @@ def run_hermite_sweep(cfg: ExperimentConfig) -> Dict:
         except NotNormalizable:
             not_normalizable.append(m)
 
-    _create(out)
-    _write_csv(out / "divergence.csv", ["basis_functions", "divergence"],
-               [orders, divergences])
-    return _write_stereo(out, problem, "hermite-sweep", columns, {
+    return _publish(cfg, "hermite-sweep", {
+        "z": problem.z,
         "orders": orders,
         "divergence": [float(v) for v in divergences],
         "strictly_decreasing": bool(np.all(np.diff(divergences) < 0)),
         "not_normalizable_orders": not_normalizable,
+    }, {
+        "divergence.csv": (["basis_functions", "divergence"], [orders, divergences]),
+        "densities.csv": _densities(problem, columns),
     })
 
 
@@ -367,28 +365,28 @@ def run_hermite_iterate(cfg: ExperimentConfig) -> Dict:
     runs the identical algorithm path as the stereo iteration; larger bases
     project the running estimate back to a Gaussian for the measure update.
     """
-    out = _out_dir(cfg)
+    cfg.validate()
     problem = make_stereo(cfg)
     order = cfg.basis or 4
     trace2 = _run_stereo_iteration(problem, GaussianSubspace(), cfg)
     trace_m = _run_stereo_iteration(problem, HermiteSubspace(order), cfg)
 
     grid = problem.density_grid
-    columns = {
-        "posterior": _density_column(problem.posterior, grid),
-        "final_m2": _density_column(trace2.estimates[-1], grid),
-        f"final_m{order}": _density_column(trace_m.estimates[-1], grid),
-    }
+    columns = {"posterior": _density_column(problem.posterior, grid)}
+    for name, trace in (("final_m2", trace2), (f"final_m{order}", trace_m)):
+        columns[name] = _density_column(trace.estimates[-1], grid)
     n = max(trace2.iterations, trace_m.iterations)
-    _create(out)
-    _write_csv(out / "series.csv", ["iteration", "kl_m2", f"kl_m{order}"],
-               [range(1, n + 1), _padded(trace2.kl, n), _padded(trace_m.kl, n)])
-    return _write_stereo(out, problem, "hermite-iterate", columns, {
+    return _publish(cfg, "hermite-iterate", {
+        "z": problem.z,
         "kl_m2": [float(v) for v in trace2.kl],
         f"kl_m{order}": [float(v) for v in trace_m.kl],
         "final_kl_m2": float(trace2.kl[-1]),
         f"final_kl_m{order}": float(trace_m.kl[-1]),
         "higher_basis_wins": bool(trace_m.kl[-1] < trace2.kl[-1]),
+    }, {
+        "series.csv": (["iteration", "kl_m2", f"kl_m{order}"],
+                       [range(1, n + 1), _padded(trace2.kl, n), _padded(trace_m.kl, n)]),
+        "densities.csv": _densities(problem, columns),
     })
 
 
@@ -463,10 +461,9 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
     mean).  With ``trials`` > 1, repeats the simulation for Monte-Carlo
     consistency statistics; files always describe trial 0.
     """
-    out = _out_dir(cfg)
+    cfg.validate()
     n = cfg.n_poses + cfg.n_landmarks
     inside = {"esgvi": 0, "map_gn": 0}
-    total = 0
     max_iterations = 0
     all_converged = True
     for trial in range(cfg.trials):
@@ -481,38 +478,28 @@ def run_gvi_demo(cfg: ExperimentConfig) -> Dict:
             sigma3 = 3.0 * np.sqrt(np.diag(tr.covariances[-1]))
             inside[name] += int(np.sum(np.abs(err) <= sigma3))
             columns += [tr.coordinates[-1], err, sigma3]
-        total += n
         if trial == 0:
             first = (graph, truth, tr_vi, tr_map, columns)
 
     graph, truth, tr_vi, tr_map, columns = first
-    _create(out)
-    _write(out / "graph.txt", dumps_graph(graph))
     kinds = ["pose"] * cfg.n_poses + ["landmark"] * cfg.n_landmarks
-    _write_csv(out / "errors.csv",
-               ["variable", "kind", "truth",
-                "esgvi_mean", "esgvi_error", "esgvi_sigma3",
-                "map_mean", "map_error", "map_sigma3"],
-               [range(n), kinds, truth, *columns])
-
     iters = max(tr_vi.iterations, tr_map.iterations)
-    _write_csv(out / "series.csv",
-               ["iteration", "esgvi_step_norm", "esgvi_loss",
-                "map_step_norm", "map_loss"],
-               [range(1, iters + 1), _padded(tr_vi.step_norm, iters), _padded(tr_vi.kl, iters),
-                _padded(tr_map.step_norm, iters), _padded(tr_map.kl, iters)])
-
-    summary = {
-        "experiment": "gvi-demo",
-        "config": dataclasses.asdict(cfg),
+    return _publish(cfg, "gvi-demo", {
         "trials": cfg.trials,
         "esgvi_iterations": tr_vi.iterations,
         "esgvi_converged": tr_vi.converged,
         "map_iterations": tr_map.iterations,
         "max_iterations": max_iterations,
         "all_converged": all_converged,
-        "containment_esgvi": inside["esgvi"] / total,
-        "containment_map_gn": inside["map_gn"] / total,
-    }
-    _write_summary(out / "summary.json", summary)
-    return summary
+        "containment_esgvi": inside["esgvi"] / (n * cfg.trials),
+        "containment_map_gn": inside["map_gn"] / (n * cfg.trials),
+    }, {
+        "graph.txt": dumps_graph(graph),
+        "errors.csv": (["variable", "kind", "truth", "esgvi_mean", "esgvi_error", "esgvi_sigma3",
+                        "map_mean", "map_error", "map_sigma3"],
+                       [range(n), kinds, truth, *columns]),
+        "series.csv": (["iteration", "esgvi_step_norm", "esgvi_loss", "map_step_norm", "map_loss"],
+                       [range(1, iters + 1), _padded(tr_vi.step_norm, iters),
+                        _padded(tr_vi.kl, iters), _padded(tr_map.step_norm, iters),
+                        _padded(tr_map.kl, iters)]),
+    })

@@ -454,7 +454,7 @@ def _gvi_loop(graph: FactorGraph, init: GaussianState, opts: GviOptions,
               expectations: Callable) -> IterationTrace:
     """Iterate ``expectations(mean, sigma, spec, with_value) -> (g, h, loss)`` from
     ``init``'s factor, factoring each new information once and inverting it by blocks."""
-    if (np.abs(init.info[~graph._pattern]) > 0).any():
+    if (np.abs(init.info[~fill_pattern(graph)]) > 0).any():
         raise ValueError("initial information has entries outside the graph fill")
 
     def step(state):

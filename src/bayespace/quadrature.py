@@ -126,6 +126,8 @@ def default_grid_bounds(nu: GaussianMeasure) -> Tuple[Tuple[float, float], ...]:
 @functools.lru_cache(maxsize=16)
 def trapezoid_points(spec: QuadratureSpec, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """Tensor trapezoid abscissae and dx-weights over the grid's bounds (read-only)."""
+    if spec.kind != GRID:
+        raise ValueError(f"trapezoid points need a grid rule, got {spec.kind!r}")
     if len(spec.grid_bounds) != dim:
         raise ValueError(f"{len(spec.grid_bounds)} grid bounds for dimension {dim}")
     _check_budget(spec.nodes_per_dim, dim)

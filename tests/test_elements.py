@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bayespace.elements import (BayesElement, add, constant_element, divergence,
+from bayespace.elements import (BayesElement, _grid_density, add, constant_element, divergence,
                                 element_grad, element_hess, equivalent,
                                 gaussian_element, information, inner_product,
                                 log_partition, moment_nodes, normalize, scale,
@@ -225,6 +225,11 @@ class TestNormalize:
             with pytest.raises(EvaluationFailure,
                                match="^phi returned NaN on the normalization grid$"):
                 log_partition(p, GRID8)
+
+    def test_grid_density_rejects_a_rule_that_is_not_a_grid(self):
+        with pytest.raises(ValueError,
+                           match="^trapezoid points need a grid rule, got 'gauss-hermite'$"):
+            _grid_density(gaussian_element([0.0], [[1.0]]), gh_spec(5))
 
 
 class TestInnerProduct:

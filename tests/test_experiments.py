@@ -20,6 +20,7 @@ from bayespace.experiments import (ExperimentConfig, _fmt, _padded, _solve_chain
                                    run_hermite_iterate, run_hermite_sweep,
                                    run_stereo_iterate, run_stereo_project)
 from bayespace.graphio import dumps_graph
+from bayespace.variational import GaussianSubspace
 
 PINNED_DENSITIES_SHA256 = "3bbfb66963fecee1cb283f925d877ac319e16125a704f66b709ef7146ab95c17"
 
@@ -216,6 +217,12 @@ class TestHermiteSweep:
         summary = run_hermite_sweep(cfg)
         assert summary["divergence"][0] < 1e-8
 
+    def test_a_tie_is_not_strictly_decreasing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "information", lambda *args: 0.5)
+        summary = run_hermite_sweep(ExperimentConfig(out_dir=str(tmp_path), basis=3))
+        assert summary["divergence"] == [0.5, 0.5]
+        assert summary["strictly_decreasing"] is False
+
 
 class TestHermiteIterate:
     def test_four_function_estimate_wins(self, tmp_path):
@@ -225,6 +232,15 @@ class TestHermiteIterate:
         assert np.isfinite(summary["kl_m2"]).all() and np.isfinite(summary["kl_m4"]).all()
         assert len(summary["kl_m2"]) == len(summary["kl_m4"]) == 10
         densities_integrate_to_one(tmp_path / "densities.csv")
+
+    def test_a_tie_is_not_a_win(self, tmp_path, monkeypatch):
+        # both runs take the Gaussian subspace, so their final KLs are equal
+        run = experiments._run_stereo_iteration
+        monkeypatch.setattr(experiments, "_run_stereo_iteration",
+                            lambda problem, subspace, cfg: run(problem, GaussianSubspace(), cfg))
+        summary = run_hermite_iterate(ExperimentConfig(out_dir=str(tmp_path), max_iters=3))
+        assert summary["final_kl_m4"] == summary["final_kl_m2"]
+        assert summary["higher_basis_wins"] is False
 
     def test_two_function_series_equals_stereo_iterate(self, tmp_path):
         s_h = run_hermite_iterate(ExperimentConfig(out_dir=str(tmp_path / "h")))
@@ -454,6 +470,20 @@ class TestCLI:
     def test_non_finite_config_field_rejected(self):
         with pytest.raises(ConfigError, match="mu_p"):
             ExperimentConfig(mu_p=float("nan")).validate()
+
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_empty_output_directory_exit_code(self, tmp_path, capsys, monkeypatch, route):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.cfg").write_text("out_dir =\n")
+        argv = ["--out", ""] if route == "flag" else ["--config", "empty.cfg"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["stereo-project", *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        _assert_only_bh_stderr(code, err, caught)
+        assert "out_dir" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cfg"]
 
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_output_path_through_a_file_exit_code(self, tmp_path, capsys, below):

@@ -7,9 +7,9 @@ from bayespace.errors import EvaluationFailure, NotNormalizable
 from bayespace.hermite import hermite_poly
 from bayespace.measures import GaussianMeasure
 from bayespace.oracles import stein_check
-from bayespace.quadrature import (default_grid_bounds, expect, gauss_hermite_rule, gh_spec,
-                                  grid_faces, grid_spec, measure_nodes, tensor_rule,
-                                  trapezoid_points)
+from bayespace.quadrature import (GAUSS_HERMITE, QuadratureSpec, default_grid_bounds, expect,
+                                  gauss_hermite_rule, gh_spec, grid_faces, grid_spec,
+                                  measure_nodes, tensor_rule, trapezoid_points)
 
 
 def std_normal_moment(k: int) -> float:
@@ -175,6 +175,13 @@ class TestTrapezoidPoints:
             grid_spec(11, None)
         with pytest.raises(ValueError):
             trapezoid_points(grid_spec(11, [(0.0, 1.0)]), 2)
+
+    def test_rejects_a_rule_that_is_not_a_grid(self):
+        # the kind is checked before the bounds, so bounds on a Gauss-Hermite rule do not help
+        for spec in (gh_spec(5), QuadratureSpec(GAUSS_HERMITE, 5, [(0.0, 1.0)])):
+            with pytest.raises(ValueError,
+                               match="^trapezoid points need a grid rule, got 'gauss-hermite'$"):
+                trapezoid_points(spec, 1)
 
 
 class TestGridFaces:

@@ -45,7 +45,7 @@ DOCUMENTED = {
     # The bench tracer (bench/tracing.py) wraps these, or what calls them, by
     # module and name; the Oracles entry lists them.
     **dict.fromkeys(["gvi.assemble", "gvi.marginals_for_factors", "gvi._marginals",
-                     "gvi.fill_pattern", "gvi.GaussianState.to_measure",
+                     "gvi.GaussianState.to_measure",
                      "matrixops.build_duplication", "matrixops.duplication_matrix"], "Oracles"),
     **dict.fromkeys(["graphio.dump_graph", "graphio.load_graph", "graphio.loads_graph",
                      "graphio.register_factor_type"], "Factor graph text format"),
